@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from . import blockform, matchchase, searcher
 from .blockform import BlockSequence, SymBlockMatrix
 from .matchchase import ChaseOutcome, ChaseTrace, IndexPair, MatchingBook
-from .seqcore import SignSequence, paf, paf_spectrum
+from .seqcore import SignSequence, is_circulant_hadamard, paf, paf_spectrum
 
 
 class UsageError(ValueError):
@@ -123,7 +123,7 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
                 "length": len(h),
                 "row_sum": h.row_sum(),
                 "paf_spectrum": list(spectrum),
-                "is_circulant_hadamard": spectrum.off_peak_zero() and len(h) % 4 == 0,
+                "is_circulant_hadamard": is_circulant_hadamard(h),
             }
         )
     ok = all(e["is_circulant_hadamard"] for e in entries)
@@ -633,7 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(searcher.PRUNE_ROW_SUM, searcher.PRUNE_PREFIX_PAF, "none"),
         help="prune selection; repeatable; default is all prunes",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes to run shards in (at most one per shard); the report "
+        "is the same for any count",
+    )
     p.add_argument("--canonical", action="store_true", help="also report orbit representatives")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--ledger", help="append-only shard ledger for resumable runs")

@@ -7,15 +7,26 @@ optional prunes cut branches:
 * row-sum: a circulant Hadamard row sum s satisfies s*s = L, so orders that
   are not perfect squares are rejected without enumeration, and square
   orders constrain the number of -1 entries to (L - s)/2 or (L + s)/2.
+  Inside the tree this is one table lookup per node, indexed by position
+  and by the number of -1 entries so far.
 * prefix-paf: the settled part of each periodic autocorrelation lag is
   bounded by the number of still-undetermined terms; a branch that cannot
-  reach zero at some lag is cut.
+  reach zero at some lag is cut.  The state is one packed integer with a
+  counter of settled -1 products per lag (see _PackedLags), so setting a
+  position and testing every lag are a few integer operations, not a loop
+  over the L/2 lags.  The state is passed down the recursion; nothing is
+  undone on the way back.
 
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
 on the worker count, so reports are identical however the shards are
-scheduled.  An optional append-only ledger file records finished shards
-(and any sequences they found) so an interrupted search can be resumed.
+scheduled.  With more than one worker the shards run in a process pool;
+only the parent process writes the ledger.  The shard depth is fixed, not
+derived from the worker count: ledger records are keyed by shard prefix,
+and a cut made while settling a prefix is counted once per shard, so a
+different depth would change both the ledger and the cut counts.  An
+optional append-only ledger file records finished shards (and any
+sequences they found) so an interrupted search can be resumed.
 """
 
 from __future__ import annotations
@@ -23,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -48,7 +58,8 @@ PRUNE_ROW_SUM = "row-sum"
 PRUNE_PREFIX_PAF = "prefix-paf"
 ALL_PRUNES = frozenset({PRUNE_ROW_SUM, PRUNE_PREFIX_PAF})
 
-# shards are the 2^(depth-1) prefixes of this length starting with '+'
+# shards are the 2^(depth-1) prefixes of this length starting with '+';
+# fixed, because the ledger and the cut counts depend on it
 _SHARD_DEPTH_CAP = 6
 # how often a shard polls the budget deadline, in tree nodes
 _DEADLINE_POLL = 4096
@@ -146,6 +157,77 @@ class _ShardResult:
     hits: tuple[str, ...]
 
 
+class _PackedLags:
+    """The prefix-paf state of a partial row, every lag in one integer.
+
+    Positions are set in order 0, 1, 2, ...  For each lag u = 1..L/2, the
+    W-bit field at bit W*(u-1) of ``neg`` counts the settled products
+    h[k]h[k+u mod L] that are -1.  A lag with ``settled`` products settled
+    has partial sum settled - 2*neg and L - settled products undetermined,
+    so |partial| > undetermined holds exactly when neg > L/2 or
+    neg < settled - L/2.  Adding ``upper`` (resp. ``lower[p]``) to ``neg``
+    turns each test into the top ("guard") bit of every field, set (resp.
+    clear) on a violation.  W = L.bit_length() gives 2^(W-1) > L/2, which
+    keeps both sums inside their fields, so no field carries into the next.
+
+    The increments come from two more packed integers of the prefix: ``rev``
+    holds bit h[p-u] in field u (the prefix reversed), and ``fwd`` holds the
+    first half forward, h[j] in field j+1, for the products that wrap round.
+    """
+
+    def __init__(self, order: int) -> None:
+        L = order
+        half = L // 2
+        W = L.bit_length()
+        top = 1 << (W - 1)
+
+        def fields(values) -> int:
+            return sum(v << W * (u - 1) for u, v in values)
+
+        def settled(u: int, p: int) -> int:
+            return max(0, p - u + 1) + max(0, p + u - L + 1)
+
+        lags = range(1, half + 1)
+        self.width = W
+        self.guard = fields((u, top) for u in lags)
+        self.upper = fields((u, top - 1 - half) for u in lags)
+        self.lower = tuple(
+            fields((u, top + half - settled(u, p)) for u in lags) for p in range(L)
+        )
+        # products h[p-u]h[p] and h[p]h[p+u-L] settled by position p
+        self.back = tuple(fields((u, 1) for u in lags if u <= p) for p in range(L))
+        self.wrap = tuple(fields((u, 1) for u in lags if u >= L - p) for p in range(L))
+        self.both = tuple(b + w for b, w in zip(self.back, self.wrap))
+        self.shift = tuple(W * (L - p - 1) for p in range(L))
+        self.spread = tuple(1 << W * p if p < half else 0 for p in range(L))
+
+    def settle(self, p: int, bit: int, rev: int, fwd: int, neg: int) -> tuple[int, int, int]:
+        """(rev, fwd, neg) after setting position p to -1 (bit 1) or +1 (bit 0)."""
+        inc = (rev & self.back[p]) + ((fwd << self.shift[p]) & self.wrap[p])
+        if bit:
+            inc = self.both[p] - inc
+        return (rev << self.width) | bit, fwd | self.spread[p] * bit, neg + inc
+
+    def cut(self, p: int, neg: int) -> bool:
+        """True when some lag can no longer reach zero once position p is set."""
+        return bool(((neg + self.upper) | ~(neg + self.lower[p])) & self.guard)
+
+
+def _minus_ok_table(
+    order: int, minus_targets: tuple[int, ...] | None
+) -> tuple[tuple[bool, ...], ...]:
+    """minus_ok[p][m]: with m '-' entries among positions 0..p, some target
+    count of '-' entries is still reachable (always, without row-sum)."""
+    return tuple(
+        tuple(
+            minus_targets is None
+            or any(m <= t <= m + order - p - 1 for t in minus_targets)
+            for m in range(p + 2)
+        )
+        for p in range(order)
+    )
+
+
 def _run_shard(
     order: int,
     prefix: str,
@@ -154,93 +236,81 @@ def _run_shard(
     deadline: float | None,
 ) -> _ShardResult:
     L = order
-    half = L // 2
     use_paf = PRUNE_PREFIX_PAF in prunes
     cuts = {name: 0 for name in sorted(prunes)}
-    signs = [0] * L
-    partial = [0] * (half + 1)
-    undet = [L] * (half + 1)
-    minus = 0
-    examined = 0
+    if deadline is not None and time.monotonic() > deadline:
+        return _ShardResult(prefix, False, 0, cuts, ())
+
+    lags = _PackedLags(L)
+    minus_ok = _minus_ok_table(L, minus_targets)
+    # the prefix is settled one position at a time with the same checks,
+    # in the same order, as a node of the tree; a cut ends the shard
+    bits = rev = fwd = neg = minus = 0
+    for p, ch in enumerate(prefix):
+        bit = 1 if ch == "-" else 0
+        bits |= bit << p
+        minus += bit
+        rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+        if not minus_ok[p][minus]:
+            cuts[PRUNE_ROW_SUM] += 1
+            return _ShardResult(prefix, True, 0, cuts, ())
+        if use_paf and lags.cut(p, neg):
+            cuts[PRUNE_PREFIX_PAF] += 1
+            return _ShardResult(prefix, True, 0, cuts, ())
+
+    W, guard, upper = lags.width, lags.guard, lags.upper
+    lower, back, wrap, both = lags.lower, lags.back, lags.wrap, lags.both
+    shift, spread = lags.shift, lags.spread
+    examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
     aborted = False
-    poll = 0
+    poll = _DEADLINE_POLL
 
-    def apply(p: int, s: int) -> None:
-        nonlocal minus
-        signs[p] = s
-        if s < 0:
-            minus += 1
-        if use_paf:
-            for u in range(1, half + 1):
-                if p >= u:
-                    partial[u] += signs[p - u] * s
-                    undet[u] -= 1
-                w = p + u - L
-                if w >= 0:
-                    partial[u] += s * signs[w]
-                    undet[u] -= 1
-
-    def undo(p: int, s: int) -> None:
-        nonlocal minus
-        if s < 0:
-            minus -= 1
-        if use_paf:
-            for u in range(1, half + 1):
-                if p >= u:
-                    partial[u] -= signs[p - u] * s
-                    undet[u] += 1
-                w = p + u - L
-                if w >= 0:
-                    partial[u] -= s * signs[w]
-                    undet[u] += 1
-
-    def violated(p: int) -> str | None:
-        # fixed check order keeps cut counts deterministic
-        if minus_targets is not None:
-            remaining = L - p - 1
-            if not any(minus <= t <= minus + remaining for t in minus_targets):
-                return PRUNE_ROW_SUM
-        if use_paf:
-            for u in range(1, half + 1):
-                if abs(partial[u]) > undet[u]:
-                    return PRUNE_PREFIX_PAF
-        return None
-
-    def dfs(p: int) -> None:
-        nonlocal examined, aborted, poll
+    # _PackedLags.settle and .cut inlined: this is the hot loop
+    def dfs(p: int, bits: int, rev: int, fwd: int, neg: int, minus: int) -> None:
+        nonlocal examined, rowsum_cuts, paf_cuts, aborted, poll
         if p == L:
             examined += 1
-            seq = SignSequence(signs)
+            seq = SignSequence.from_bits(L, bits)
             if is_circulant_hadamard(seq):
                 hits.append(seq.text)
             return
-        for s in (1, -1):
+        poll -= 1
+        if not poll:
+            poll = _DEADLINE_POLL
+            if deadline is not None and time.monotonic() > deadline:
+                aborted = True
+                return
+        inc = (rev & back[p]) + ((fwd << shift[p]) & wrap[p])
+        ok = minus_ok[p]
+        lo = lower[p]
+        rev <<= W
+        # h[p] = +1: the settled products with h[p] are -1 where the other
+        # factor is -1, which is what inc counts
+        n = neg + inc
+        if not ok[minus]:
+            rowsum_cuts += 1
+        elif use_paf and ((n + upper) | ~(n + lo)) & guard:
+            paf_cuts += 1
+        else:
+            dfs(p + 1, bits, rev, fwd, n, minus)
             if aborted:
                 return
-            poll += 1
-            if poll >= _DEADLINE_POLL:
-                poll = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    aborted = True
-                    return
-            apply(p, s)
-            verdict = violated(p)
-            if verdict is None:
-                dfs(p + 1)
-            else:
-                cuts[verdict] += 1
-            undo(p, s)
+        # h[p] = -1: the complementary products are -1
+        n = neg + both[p] - inc
+        minus += 1
+        if not ok[minus]:
+            rowsum_cuts += 1
+        elif use_paf and ((n + upper) | ~(n + lo)) & guard:
+            paf_cuts += 1
+        else:
+            dfs(p + 1, bits | 1 << p, rev | 1, fwd | spread[p], n, minus)
 
-    if deadline is not None and time.monotonic() > deadline:
-        return _ShardResult(prefix, False, 0, cuts, ())
-    for p, ch in enumerate(prefix):
-        apply(p, 1 if ch == "+" else -1)
-        verdict = violated(p)
-        if verdict is not None:
-            cuts[verdict] += 1
-            return _ShardResult(prefix, True, 0, cuts, ())
-    dfs(len(prefix))
+    dfs(len(prefix), bits, rev, fwd, neg, minus)
+    if PRUNE_ROW_SUM in prunes:
+        cuts[PRUNE_ROW_SUM] += rowsum_cuts
+    if use_paf:
+        cuts[PRUNE_PREFIX_PAF] += paf_cuts
     return _ShardResult(prefix, not aborted, examined, cuts, tuple(hits))
 
 
@@ -264,17 +334,20 @@ class _ShardLedger:
     Lines are '<prefix> hit <sequence>' for each solution found in a shard,
     then '<prefix> done examined=<n> <prune>=<cuts>...' once the shard has
     been fully traversed.  The header pins order and prune selection so a
-    ledger cannot silently be reused across configurations.
+    ledger cannot silently be reused across configurations.  A malformed
+    record is refused with a ValueError naming the file and the line.
     """
 
-    def __init__(self, path: Path, header: str) -> None:
+    def __init__(self, path: Path, cfg: SearchConfig) -> None:
         self.path = path
-        self.header = header
+        self.header = _ledger_header(cfg)
+        self.order = cfg.order
+        self.counter_names = {"examined", *cfg.prunes}
         self.recorded: dict[str, _ShardResult] = {}
         if path.exists():
             self._load()
         else:
-            path.write_text(header + "\n", encoding="utf-8")
+            path.write_text(self.header + "\n", encoding="utf-8")
 
     def _load(self) -> None:
         lines = self.path.read_text(encoding="utf-8").splitlines()
@@ -283,22 +356,44 @@ class _ShardLedger:
                 f"ledger {self.path} does not match this search configuration"
             )
         pending_hits: dict[str, list[str]] = {}
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
             tokens = line.split()
             if not tokens:
                 continue
-            prefix, status = tokens[0], tokens[1]
-            if status == "hit":
-                pending_hits.setdefault(prefix, []).append(tokens[2])
-            elif status == "done":
-                counters = dict(tok.split("=", 1) for tok in tokens[2:])
-                examined = int(counters.pop("examined"))
-                cuts = {k: int(v) for k, v in counters.items()}
-                self.recorded[prefix] = _ShardResult(
-                    prefix, True, examined, cuts, tuple(pending_hits.get(prefix, ()))
-                )
-            else:
-                raise ValueError(f"ledger {self.path}: unknown status {status!r}")
+            try:
+                if len(tokens) < 2:
+                    raise ValueError("shard prefix with no status")
+                prefix, status, fields = tokens[0], tokens[1], tokens[2:]
+                if status == "hit":
+                    pending_hits.setdefault(prefix, []).append(self._parse_hit(fields))
+                elif status == "done":
+                    examined, cuts = self._parse_done(fields)
+                    self.recorded[prefix] = _ShardResult(
+                        prefix, True, examined, cuts, tuple(pending_hits.get(prefix, ()))
+                    )
+                else:
+                    raise ValueError(f"unknown status {status!r}")
+            except ValueError as exc:
+                raise ValueError(f"ledger {self.path} line {number}: {exc}") from None
+
+    def _parse_hit(self, fields: list[str]) -> str:
+        if len(fields) != 1 or len(fields[0]) != self.order or set(fields[0]) - {"+", "-"}:
+            raise ValueError(f"a hit needs one sequence of {self.order} '+'/'-' entries")
+        return fields[0]
+
+    def _parse_done(self, fields: list[str]) -> tuple[int, dict[str, int]]:
+        counters: dict[str, int] = {}
+        for field in fields:
+            name, _, value = field.partition("=")
+            if name in counters or not (value.isascii() and value.isdigit()):
+                raise ValueError(f"malformed counter {field!r}")
+            counters[name] = int(value)
+        if counters.keys() != self.counter_names:
+            raise ValueError(
+                f"counters {sorted(counters)} differ from {sorted(self.counter_names)}"
+            )
+        examined = counters.pop("examined")
+        return examined, counters
 
     def record(self, result: _ShardResult) -> None:
         lines = [f"{result.prefix} hit {text}" for text in result.hits]
@@ -360,30 +455,37 @@ def search(cfg: SearchConfig) -> SearchReport:
     prefixes = _shard_prefixes(cfg.order)
     ledger = None
     if cfg.ledger_path is not None:
-        ledger = _ShardLedger(Path(cfg.ledger_path), _ledger_header(cfg))
+        ledger = _ShardLedger(Path(cfg.ledger_path), cfg)
     results: dict[str, _ShardResult] = dict(ledger.recorded) if ledger else {}
     pending = [p for p in prefixes if p not in results]
     deadline = None
     if cfg.budget_seconds is not None:
         deadline = time.monotonic() + cfg.budget_seconds
 
-    def run_one(prefix: str) -> _ShardResult:
-        return _run_shard(cfg.order, prefix, cfg.prunes, targets, deadline)
+    def finish(result: _ShardResult) -> None:
+        results[result.prefix] = result
+        if ledger is not None and result.completed:
+            ledger.record(result)
 
+    args = (cfg.prunes, targets, deadline)
     if cfg.workers == 1 or len(pending) <= 1:
         for prefix in pending:
-            result = run_one(prefix)
-            results[prefix] = result
-            if ledger is not None and result.completed:
-                ledger.record(result)
+            finish(_run_shard(cfg.order, prefix, *args))
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_one, prefix) for prefix in pending]
+        # imported here, not at the top: the process machinery would add
+        # ~20 ms to every import of circhad
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        # fork, where the platform has it, spares each worker re-importing
+        # circhad and numpy
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        workers = min(cfg.workers, len(pending))
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(_run_shard, cfg.order, p, *args) for p in pending]
             for future in as_completed(futures):
-                result = future.result()
-                results[result.prefix] = result
-                if ledger is not None and result.completed:
-                    ledger.record(result)
+                finish(future.result())
 
     examined = 0
     hits: list[str] = []
@@ -392,11 +494,10 @@ def search(cfg: SearchConfig) -> SearchReport:
         result = results[prefix]
         examined += result.examined
         for name, count in result.cuts.items():
-            cuts_total[name] = cuts_total.get(name, 0) + count
+            cuts_total[name] += count
         hits.extend(result.hits)
         if not result.completed:
             incomplete = True
-    cuts_total = {k: v for k, v in cuts_total.items() if k in cfg.prunes}
     elapsed = time.perf_counter() - started
     return _build_report(cfg, examined, hits, cuts_total, incomplete, elapsed)
 

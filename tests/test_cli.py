@@ -253,6 +253,17 @@ class TestSearchCommand:
         assert code == 0
         assert doc["result"]["sequences_examined"] == 128
 
+    def test_torn_ledger_exit_two(self, capsys, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        assert run(capsys, "search", "--order", "16", "--ledger", str(ledger))[0] == 0
+        lines = ledger.read_text().splitlines()
+        lines.insert(2, "+-+-+-")
+        ledger.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(ledger))
+        assert code == 2
+        assert out == ""
+        assert f"ledger {ledger} line 3: shard prefix with no status" in err
+
     def test_prune_none_exclusive(self, capsys):
         code, _, err = run(
             capsys, "search", "--order", "8", "--prune", "none", "--prune", "row-sum"

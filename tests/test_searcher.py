@@ -1,4 +1,8 @@
+import concurrent.futures
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from circhad.blockform import block_decompose, cancellation_holds, even_count, is_symmetric_even
 from circhad.matchchase import counterexample
@@ -8,11 +12,16 @@ from circhad.searcher import (
     all_block_sequences,
     enumerate_block_sequences,
     rowsum_prune_applicable,
+    _PackedLags,
     search,
 )
 from circhad.seqcore import SignSequence, is_circulant_hadamard
 
-from helpers import all_sign_texts, dense_hadamard_ok
+from helpers import all_sign_texts, dense_hadamard_ok, reference_search
+
+PAF = frozenset({"prefix-paf"})
+ROWSUM = frozenset({"row-sum"})
+PRUNE_SELECTIONS = {"both": ALL_PRUNES, "paf": PAF, "rowsum": ROWSUM, "none": frozenset()}
 
 
 class TestConfig:
@@ -95,6 +104,21 @@ class TestSearchResults:
         first = reports[0].canonical_json()
         assert all(r.canonical_json() == first for r in reports[1:])
 
+    def test_pool_never_exceeds_shard_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                # refuse before any process is started
+                assert max_workers <= 8
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        wide = search(SearchConfig(order=4, workers=10_000))
+        assert sizes == [8]
+        assert wide.canonical_json() == search(SearchConfig(order=4)).canonical_json()
+
     def test_workers_and_elapsed_excluded_from_canonical_form(self):
         report = search(SearchConfig(order=4, workers=3))
         doc = report.canonical_dict()
@@ -112,6 +136,57 @@ class TestSearchResults:
         for text in report.solutions:
             bs = block_decompose(SignSequence.from_text(text))
             assert even_count(bs) == 1
+
+
+class TestWhatIsCut:
+    @pytest.mark.parametrize("order", [4, 8, 12, 16])
+    @pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
+    def test_matches_reference_dfs(self, order, selection):
+        prunes = PRUNE_SELECTIONS[selection]
+        report = search(SearchConfig(order=order, prunes=prunes))
+        examined, cuts, solutions = reference_search(order, prunes)
+        assert report.sequences_examined == examined
+        assert report.prune_cuts == cuts
+        assert report.solutions == solutions
+
+    @pytest.mark.parametrize(
+        "order, selection, examined, cuts",
+        [
+            (16, "both", 0, {"prefix-paf": 6185, "row-sum": 2672}),
+            (16, "paf", 0, {"prefix-paf": 9270}),
+            (16, "rowsum", 8008, {"row-sum": 14092}),
+            (16, "none", 32768, {}),
+            (20, "paf", 0, {"prefix-paf": 99484}),
+        ],
+    )
+    def test_golden_counts(self, order, selection, examined, cuts):
+        report = search(SearchConfig(order=order, prunes=PRUNE_SELECTIONS[selection]))
+        assert report.sequences_examined == examined
+        assert report.prune_cuts == cuts
+
+
+@st.composite
+def sign_rows(draw):
+    length = draw(st.sampled_from(range(8, 41, 4)))
+    return draw(st.lists(st.sampled_from((1, -1)), min_size=length, max_size=length))
+
+
+@given(sign_rows())
+def test_packed_lag_verdict_matches_direct_check(row):
+    L = len(row)
+    lags = _PackedLags(L)
+    field = (1 << lags.width) - 1
+    rev = fwd = neg = 0
+    for p, s in enumerate(row):
+        rev, fwd, neg = lags.settle(p, int(s < 0), rev, fwd, neg)
+        direct = False
+        for u in range(1, L // 2 + 1):
+            settled = [
+                row[k] * row[(k + u) % L] for k in range(p + 1) if (k + u) % L <= p
+            ]
+            assert neg >> lags.width * (u - 1) & field == settled.count(-1)
+            direct = direct or abs(sum(settled)) > L - len(settled)
+        assert lags.cut(p, neg) == direct
 
 
 class TestBudgetAndLedger:
@@ -141,6 +216,33 @@ class TestBudgetAndLedger:
         search(SearchConfig(order=16, ledger_path=ledger))
         with pytest.raises(ValueError):
             search(SearchConfig(order=16, prunes=frozenset(), ledger_path=ledger))
+
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "+-+-+-",
+            "+-+-+- hit",
+            "+-+-+- hit +-+-",
+            "+-+-+- hit " + "+-x" * 5 + "+",
+            "+-+-+- hit " + "+" * 16 + " " + "+" * 16,
+            "+-+-+- done examined=x prefix-paf=1 row-sum=2",
+            "+-+-+- done examined=1 prefix-paf=-1 row-sum=2",
+            "+-+-+- done examined",
+            "+-+-+- done examined=1",
+            "+-+-+- done examined=1 prefix-paf=1 row-sum=2 magic=3",
+            "+-+-+- done examined=1 examined=1 prefix-paf=1",
+            "+-+-+- finished",
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, record):
+        ledger = tmp_path / "shards.ledger"
+        search(SearchConfig(order=16, ledger_path=ledger))
+        lines = ledger.read_text().splitlines()
+        lines.insert(3, record)
+        ledger.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"ledger {ledger} line 4: ")):
+            search(SearchConfig(order=16, ledger_path=ledger))
 
 
 class TestBlockEnumeration:
