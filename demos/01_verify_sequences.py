@@ -7,8 +7,6 @@ works and a few that do not, then cross-checks the fast predicate against
 a dense matrix product.
 """
 
-import numpy as np
-
 from circhad import (
     SignSequence,
     circulant_matrix,
@@ -38,10 +36,12 @@ print()
 # cross-check: H . H^T must be L times the identity
 H = circulant_matrix(h)
 L = len(h)
-gram = H @ H.T
+gram = [[sum(a * b for a, b in zip(row, col)) for col in H] for row in H]
 print("H @ H.T for -+++:")
-print(gram)
-print("equals L*I:", bool((gram == L * np.eye(L, dtype=np.int64)).all()))
+for row in gram:
+    print("  ", row)
+identity = [[L if r == c else 0 for c in range(L)] for r in range(L)]
+print("equals L*I:", gram == identity)
 print()
 
 # no length-8 row passes: the row sum would have to square to 8

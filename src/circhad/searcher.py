@@ -31,6 +31,7 @@ sequences they found) so an interrupted search can be resumed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -228,6 +229,15 @@ def _minus_ok_table(
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _shard_tables(
+    order: int, minus_targets: tuple[int, ...] | None
+) -> tuple[_PackedLags, tuple[tuple[bool, ...], ...]]:
+    """The read-only tables every shard of one search shares, built once
+    per (order, row-sum targets)."""
+    return _PackedLags(order), _minus_ok_table(order, minus_targets)
+
+
 def _run_shard(
     order: int,
     prefix: str,
@@ -241,8 +251,7 @@ def _run_shard(
     if deadline is not None and time.monotonic() > deadline:
         return _ShardResult(prefix, False, 0, cuts, ())
 
-    lags = _PackedLags(L)
-    minus_ok = _minus_ok_table(L, minus_targets)
+    lags, minus_ok = _shard_tables(L, minus_targets)
     # the prefix is settled one position at a time with the same checks,
     # in the same order, as a node of the tree; a cut ends the shard
     bits = rev = fwd = neg = minus = 0
@@ -344,13 +353,18 @@ class _ShardLedger:
         self.order = cfg.order
         self.counter_names = {"examined", *cfg.prunes}
         self.recorded: dict[str, _ShardResult] = {}
-        if path.exists():
-            self._load()
-        else:
-            path.write_text(self.header + "\n", encoding="utf-8")
+        try:
+            if path.exists():
+                text = path.read_text(encoding="utf-8")
+            else:
+                path.write_text(self.header + "\n", encoding="utf-8")
+                return
+        except OSError as exc:
+            raise ValueError(f"ledger {path}: {exc.strerror}") from None
+        self._load(text)
 
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+    def _load(self, text: str) -> None:
+        lines = text.splitlines()
         if not lines or lines[0] != self.header:
             raise ValueError(
                 f"ledger {self.path} does not match this search configuration"
@@ -467,6 +481,8 @@ def search(cfg: SearchConfig) -> SearchReport:
         if ledger is not None and result.completed:
             ledger.record(result)
 
+    # built before any pool forks, so the workers inherit the tables
+    _shard_tables(cfg.order, targets)
     args = (cfg.prunes, targets, deadline)
     if cfg.workers == 1 or len(pending) <= 1:
         for prefix in pending:
@@ -478,7 +494,7 @@ def search(cfg: SearchConfig) -> SearchReport:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # fork, where the platform has it, spares each worker re-importing
-        # circhad and numpy
+        # circhad and rebuilding the shard tables
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
         workers = min(cfg.workers, len(pending))

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 __all__ = [
     "SignSequence",
     "PafSpectrum",
@@ -206,8 +204,6 @@ def circulant_row(h: SignSequence, r: int) -> SignSequence:
     return h.rotate(-r)
 
 
-def circulant_matrix(h: SignSequence) -> np.ndarray:
-    """The full dense L x L circulant as an integer array."""
-    L = len(h)
-    entries = np.array(h.entries, dtype=np.int64)
-    return np.stack([np.roll(entries, r) for r in range(L)])
+def circulant_matrix(h: SignSequence) -> tuple[tuple[int, ...], ...]:
+    """The full dense L x L circulant: L rows of L entries, each +1 or -1."""
+    return tuple(circulant_row(h, r).entries for r in range(len(h)))

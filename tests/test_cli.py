@@ -264,6 +264,20 @@ class TestSearchCommand:
         assert out == ""
         assert f"ledger {ledger} line 3: shard prefix with no status" in err
 
+    def test_ledger_path_is_directory_exit_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert f"ledger {tmp_path}:" in err
+
+    def test_ledger_in_missing_directory_exit_two(self, capsys, tmp_path):
+        ledger = tmp_path / "missing" / "shards.ledger"
+        code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(ledger))
+        assert code == 2
+        assert out == ""
+        assert f"ledger {ledger}:" in err
+        assert not ledger.parent.exists()
+
     def test_prune_none_exclusive(self, capsys):
         code, _, err = run(
             capsys, "search", "--order", "8", "--prune", "none", "--prune", "row-sum"
@@ -301,3 +315,18 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "outcome: Cycle" in proc.stdout
+
+
+def test_import_loads_no_numpy_or_process_machinery():
+    # numpy is test-only, and the process pool is imported only by a
+    # search with more than one worker
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, circhad, circhad.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "circhad.cli" in loaded
+    banned = ("numpy", "multiprocessing", "concurrent.futures")
+    assert [m for m in loaded if m in banned or m.startswith(tuple(b + "." for b in banned))] == []

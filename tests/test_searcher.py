@@ -13,6 +13,7 @@ from circhad.searcher import (
     enumerate_block_sequences,
     rowsum_prune_applicable,
     _PackedLags,
+    _shard_tables,
     search,
 )
 from circhad.seqcore import SignSequence, is_circulant_hadamard
@@ -103,6 +104,16 @@ class TestSearchResults:
         reports = [search(SearchConfig(order=16, workers=w)) for w in (1, 2, 8)]
         first = reports[0].canonical_json()
         assert all(r.canonical_json() == first for r in reports[1:])
+
+    def test_shard_tables_built_once_per_search(self):
+        _shard_tables.cache_clear()
+        # the parent builds the tables before the pool forks
+        search(SearchConfig(order=16, workers=2))
+        assert _shard_tables.cache_info().misses == 1
+        # every one of the 32 shards reuses them
+        search(SearchConfig(order=16))
+        info = _shard_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1 + 32)
 
     def test_pool_never_exceeds_shard_count(self, monkeypatch):
         sizes = []

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from circhad.seqcore import (
@@ -12,7 +13,7 @@ from circhad.seqcore import (
     paf_spectrum,
 )
 
-from helpers import all_sign_texts, dense_hadamard_ok, random_sign_text
+from helpers import all_sign_texts, dense_circulant, dense_hadamard_ok, random_sign_text
 
 
 def seq(text):
@@ -150,10 +151,18 @@ class TestCirculant:
             circulant_row(seq("-+++"), -1)
 
     def test_matrix_rows_match_row_accessor(self):
-        h = seq("+--+-+++")
-        H = circulant_matrix(h)
-        for r in range(len(h)):
-            assert list(H[r]) == list(circulant_row(h, r).entries)
+        rng = random.Random(16)
+        texts = ["-+++", "+--+-+++"]
+        texts += [random_sign_text(rng, L) for L in (4, 8, 16) for _ in range(3)]
+        for text in texts:
+            h = seq(text)
+            H = circulant_matrix(h)
+            assert type(H) is tuple and len(H) == len(h)
+            for r, row in enumerate(H):
+                assert type(row) is tuple
+                assert all(type(e) is int for e in row)
+                assert row == circulant_row(h, r).entries
+            assert np.array_equal(H, dense_circulant(text))
 
     def test_row_sum(self):
         assert seq("-+++").row_sum() == 2
