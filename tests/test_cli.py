@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,31 @@ import pytest
 from circhad.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 COUNTEREXAMPLE_BLOCKS = "++,+-,--,+-,--,+-"
+COUNTEREXAMPLE_MATCHINGS = "u=2: (0,2)~(2,4)\nu=4: (0,4)~(4,2)\n"
+
+# input files the golden and round-trip cases name by relative path, so the
+# JSON "inputs" do not depend on where the test runs
+INPUT_FILES = {
+    "seqs.txt": "-+++\n++++\n+--+-+++\n",
+    "blocks.txt": f"{COUNTEREXAMPLE_BLOCKS}\n-+,++\n++,-+,--,-+\n",
+    "m.txt": COUNTEREXAMPLE_MATCHINGS,
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def input_dir(tmp_path, monkeypatch):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
 def run_json(capsys, *argv):
@@ -294,15 +313,50 @@ class TestJsonRoundTrip:
             ("decompose", "++++"),
             ("eqn1", COUNTEREXAMPLE_BLOCKS),
             ("match", COUNTEREXAMPLE_BLOCKS, "--lag", "2"),
+            ("match", COUNTEREXAMPLE_BLOCKS, "--matchings", "m.txt"),
+            ("chase", COUNTEREXAMPLE_BLOCKS, "--matchings", "m.txt", "--start", "0,2"),
             ("counterexample",),
             ("search", "--order", "4"),
         ],
     )
-    def test_machine_output_reparses_identically(self, capsys, argv):
+    def test_machine_output_reparses_identically(self, capsys, input_dir, argv):
         main([argv[0], "--format", "json", *argv[1:]])
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert json.dumps(doc, indent=2, sort_keys=True) == out.strip()
+
+
+# (golden file stem, expected exit code, argv without --format); the
+# golden files hold the exact stdout, text and JSON, with the elapsed time
+# masked
+GOLDEN_CASES = [
+    ("verify-inline", 0, ("verify", "--", "-+++")),
+    ("verify-file", 1, ("verify", "--file", "seqs.txt")),
+    ("paf-inline", 0, ("paf", "--", "-+++")),
+    ("paf-file", 0, ("paf", "--file", "seqs.txt")),
+    ("paf-lag", 0, ("paf", "+--+-+++", "--lag", "2")),
+    ("decompose-inline", 0, ("decompose", "--", "-+++")),
+    ("decompose-file", 0, ("decompose", "--file", "seqs.txt")),
+    ("eqn1-inline", 1, ("eqn1", COUNTEREXAMPLE_BLOCKS)),
+    ("eqn1-file", 1, ("eqn1", "--file", "blocks.txt")),
+    ("eqn1-lag", 1, ("eqn1", COUNTEREXAMPLE_BLOCKS, "--lag", "2")),
+    ("match-lag", 1, ("match", COUNTEREXAMPLE_BLOCKS, "--lag", "2")),
+    ("match-matchings", 0, ("match", COUNTEREXAMPLE_BLOCKS, "--matchings", "m.txt")),
+    ("chase", 0, ("chase", COUNTEREXAMPLE_BLOCKS, "--matchings", "m.txt", "--start", "0,2")),
+    ("counterexample", 0, ("counterexample",)),
+    ("search", 0, ("search", "--order", "4", "--canonical")),
+]
+
+_ELAPSED = re.compile(r"(elapsed[ _]seconds\"?\s*:\s*)[-+.0-9e]+")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name,code,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_output(capsys, input_dir, name, code, argv, fmt):
+    got_code, out, _ = run(capsys, argv[0], "--format", fmt, *argv[1:])
+    assert got_code == code
+    masked = _ELAPSED.sub(r"\1<masked>", out)
+    assert masked == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 def test_console_entrypoint_subprocess():
