@@ -33,7 +33,6 @@ from .blockform import (
     cancellation_residual,
     even_count,
     is_symmetric_even,
-    parity,
     recompose,
 )
 from .matchchase import (

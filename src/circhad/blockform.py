@@ -26,7 +26,6 @@ __all__ = [
     "SymBlockMatrix",
     "block_decompose",
     "recompose",
-    "parity",
     "even_count",
     "block_product",
     "cancellation_residual",
@@ -182,10 +181,6 @@ def block_decompose(h: SignSequence) -> BlockSequence:
 def recompose(bs: BlockSequence) -> SignSequence:
     """Inverse of block_decompose: h[d] = M_d.diag, h[d + 2n] = M_d.offdiag."""
     return SignSequence([b.diag for b in bs] + [b.offdiag for b in bs])
-
-
-def parity(b: TwoBlock) -> Parity:
-    return b.parity
 
 
 def even_count(bs: BlockSequence) -> int:

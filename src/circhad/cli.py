@@ -12,7 +12,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -22,10 +23,6 @@ from .matchchase import ChaseOutcome, ChaseTrace, IndexPair, MatchingBook
 from .seqcore import SignSequence, is_circulant_hadamard, paf, paf_spectrum
 
 
-class UsageError(ValueError):
-    """Anything that should terminate with exit code 2."""
-
-
 @dataclass
 class Report:
     command: str
@@ -33,54 +30,23 @@ class Report:
     result: object
     ok: bool
 
-    def to_document(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "ok": self.ok,
-        }
-
 
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_document(), indent=2, sort_keys=True)
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
-# input plumbing
+# input plumbing; a ValueError anywhere below exits 2 (see main)
 
 
-def _read_instances(args: argparse.Namespace, what: str) -> tuple[list[str], dict]:
-    """One instance from the positional argument, or one per line of --file."""
-    positional = getattr(args, what)
-    if args.file is not None:
-        if positional is not None:
-            raise UsageError(f"give the {what} either inline or via --file, not both")
-        path = Path(args.file)
-        if not path.exists():
-            raise UsageError(f"no such file: {path}")
-        lines = [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines()]
-        instances = [ln for ln in lines if ln]
-        if not instances:
-            raise UsageError(f"{path} contains no instances")
-        return instances, {"file": str(path), "count": len(instances)}
-    if positional is None:
-        raise UsageError(f"missing {what}; give it inline or via --file")
-    return [positional], {what: positional}
-
-
-def _parse_sequence(text: str) -> SignSequence:
+def _read_file(path: Path) -> str:
+    """The text of an input file; an unreadable one is an error naming it."""
     try:
-        return SignSequence.from_text(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _parse_blocks(text: str) -> BlockSequence:
-    try:
-        return BlockSequence.from_text(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _START = re.compile(r"^\(?(\d+),(\d+)\)?$")
@@ -89,229 +55,190 @@ _START = re.compile(r"^\(?(\d+),(\d+)\)?$")
 def _parse_start(text: str) -> IndexPair:
     match = _START.match(re.sub(r"\s+", "", text))
     if match is None:
-        raise UsageError(f"cannot parse start pair {text!r}; expected i,j")
-    try:
-        return IndexPair(int(match.group(1)), int(match.group(2)))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"cannot parse start pair {text!r}; expected i,j")
+    return IndexPair(int(match.group(1)), int(match.group(2)))
+
+
+def _pair(p: IndexPair | None) -> list[int] | None:
+    return None if p is None else [p.first, p.second]
 
 
 def _matrix_rows(m: SymBlockMatrix) -> list[list[int]]:
     return [list(row) for row in m.rows()]
 
 
-def _grid(m: SymBlockMatrix) -> list[str]:
-    width = max(len(str(m.diag)), len(str(m.offdiag)))
+# ---------------------------------------------------------------------------
+# per-instance subcommands: one entry per sequence or block row, given
+# inline or one per line of --file
+
+
+def _run_instances(
+    what: str,
+    entry: Callable[[str, int | None], dict],
+    holds: Callable[[dict], bool],
+    args: argparse.Namespace,
+) -> Report:
+    """One entry from the positional argument, or a list of one per line of
+    --file; the report holds when every entry does."""
+    positional = getattr(args, what)
+    lag = getattr(args, "lag", None)
+    if args.file is None:
+        if positional is None:
+            raise ValueError(f"missing {what}; give it inline or via --file")
+        inputs: dict = {what: positional}
+        texts = [positional]
+    elif positional is not None:
+        raise ValueError(f"give the {what} either inline or via --file, not both")
+    else:
+        path = Path(args.file)
+        texts = [ln.strip() for ln in _read_file(path).splitlines() if ln.strip()]
+        if not texts:
+            raise ValueError(f"{path} contains no instances")
+        inputs = {"file": str(path), "count": len(texts)}
+    if lag is not None:
+        inputs["lag"] = lag
+    entries = [entry(text, lag) for text in texts]
+    result = entries if args.file is not None else entries[0]
+    return Report(args.command, inputs, result, all(holds(e) for e in entries))
+
+
+def _render_instances(
+    lines: Callable[[dict], list[str]], separator: str, result: object
+) -> str:
+    entries = result if isinstance(result, list) else [result]
+    return separator.join("\n".join(lines(e)) for e in entries)
+
+
+def _verify_entry(text: str, lag: int | None) -> dict:
+    h = SignSequence.from_text(text)
+    return {
+        "sequence": h.text,
+        "length": len(h),
+        "row_sum": h.row_sum(),
+        "paf_spectrum": list(paf_spectrum(h)),
+        "is_circulant_hadamard": is_circulant_hadamard(h),
+    }
+
+
+def _verify_lines(e: dict) -> list[str]:
     return [
-        f"[ {a:>{width}} {b:>{width}} ]" for a, b in m.rows()
+        f"sequence : {e['sequence']}",
+        f"length   : {e['length']}",
+        f"row sum  : {e['row_sum']}",
+        f"paf      : {' '.join(str(v) for v in e['paf_spectrum'])}",
+        f"circulant hadamard : {'yes' if e['is_circulant_hadamard'] else 'no'}",
     ]
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
+def _paf_entry(text: str, lag: int | None) -> dict:
+    h = SignSequence.from_text(text)
+    entry: dict = {"sequence": h.text, "length": len(h)}
+    if lag is None:
+        entry["paf_spectrum"] = list(paf_spectrum(h))
+    elif not 0 <= lag < len(h):
+        raise ValueError(f"lag {lag} out of range for length {len(h)}")
+    else:
+        entry["lag"] = lag
+        entry["value"] = paf(h, lag)
+    return entry
 
 
-def _cmd_verify(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "sequence")
-    entries = []
-    for text in texts:
-        h = _parse_sequence(text)
-        spectrum = paf_spectrum(h)
-        entries.append(
-            {
-                "sequence": h.text,
-                "length": len(h),
-                "row_sum": h.row_sum(),
-                "paf_spectrum": list(spectrum),
-                "is_circulant_hadamard": is_circulant_hadamard(h),
-            }
-        )
-    ok = all(e["is_circulant_hadamard"] for e in entries)
-    result = entries[0] if len(entries) == 1 and args.file is None else entries
-    return Report("verify", inputs, result, ok)
+def _paf_lines(e: dict) -> list[str]:
+    if "value" in e:
+        return [f"{e['sequence']}  paf({e['lag']}) = {e['value']}"]
+    return [f"{e['sequence']}  paf = {' '.join(str(v) for v in e['paf_spectrum'])}"]
 
 
-def _render_verify(report: Report) -> str:
-    entries = report.result if isinstance(report.result, list) else [report.result]
-    lines = []
-    for e in entries:
-        lines += [
-            f"sequence : {e['sequence']}",
-            f"length   : {e['length']}",
-            f"row sum  : {e['row_sum']}",
-            f"paf      : {' '.join(str(v) for v in e['paf_spectrum'])}",
-            f"circulant hadamard : {'yes' if e['is_circulant_hadamard'] else 'no'}",
-            "",
-        ]
-    return "\n".join(lines).rstrip()
-
-
-def _cmd_paf(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "sequence")
-    if args.lag is not None:
-        inputs["lag"] = args.lag
-    entries = []
-    for text in texts:
-        h = _parse_sequence(text)
-        entry: dict = {"sequence": h.text, "length": len(h)}
-        if args.lag is not None:
-            if not 0 <= args.lag < len(h):
-                raise UsageError(f"lag {args.lag} out of range for length {len(h)}")
-            entry["lag"] = args.lag
-            entry["value"] = paf(h, args.lag)
-        else:
-            entry["paf_spectrum"] = list(paf_spectrum(h))
-        entries.append(entry)
-    result = entries[0] if len(entries) == 1 and args.file is None else entries
-    return Report("paf", inputs, result, True)
-
-
-def _render_paf(report: Report) -> str:
-    entries = report.result if isinstance(report.result, list) else [report.result]
-    lines = []
-    for e in entries:
-        if "value" in e:
-            lines.append(f"{e['sequence']}  paf({e['lag']}) = {e['value']}")
-        else:
-            spectrum = " ".join(str(v) for v in e["paf_spectrum"])
-            lines.append(f"{e['sequence']}  paf = {spectrum}")
-    return "\n".join(lines)
-
-
-def _cmd_decompose(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "sequence")
-    entries = []
-    for text in texts:
-        h = _parse_sequence(text)
-        if len(h) % 4 != 0:
-            raise UsageError(f"length {len(h)} is not divisible by 4")
-        bs = blockform.block_decompose(h)
-        even = [
+def _decompose_entry(text: str, lag: int | None) -> dict:
+    h = SignSequence.from_text(text)
+    if len(h) % 4 != 0:
+        raise ValueError(f"length {len(h)} is not divisible by 4")
+    bs = blockform.block_decompose(h)
+    return {
+        "sequence": h.text,
+        "blocks": bs.text,
+        "parities": [str(b.parity) for b in bs],
+        "even_count": blockform.even_count(bs),
+        "n": bs.n,
+        "even_blocks": [
             {"index": i, "symmetric": blockform.is_symmetric_even(bs, i)}
             for i in bs.even_indices()
-        ]
-        entries.append(
-            {
-                "sequence": h.text,
-                "blocks": bs.text,
-                "parities": [str(b.parity) for b in bs],
-                "even_count": blockform.even_count(bs),
-                "n": bs.n,
-                "even_blocks": even,
-            }
-        )
-    result = entries[0] if len(entries) == 1 and args.file is None else entries
-    return Report("decompose", inputs, result, True)
+        ],
+    }
 
 
-def _render_decompose(report: Report) -> str:
-    entries = report.result if isinstance(report.result, list) else [report.result]
-    lines = []
-    for e in entries:
-        lines += [
-            f"sequence   : {e['sequence']}",
-            f"blocks     : {e['blocks']}",
-            f"parities   : {' '.join(e['parities'])}",
-            f"even count : {e['even_count']} of {2 * e['n']} (n = {e['n']})",
-        ]
-        for item in e["even_blocks"]:
-            flag = "symmetric" if item["symmetric"] else "not symmetric"
-            lines.append(f"  even block {item['index']}: {flag}")
-        lines.append("")
-    return "\n".join(lines).rstrip()
+def _decompose_lines(e: dict) -> list[str]:
+    lines = [
+        f"sequence   : {e['sequence']}",
+        f"blocks     : {e['blocks']}",
+        f"parities   : {' '.join(e['parities'])}",
+        f"even count : {e['even_count']} of {2 * e['n']} (n = {e['n']})",
+    ]
+    for item in e["even_blocks"]:
+        flag = "symmetric" if item["symmetric"] else "not symmetric"
+        lines.append(f"  even block {item['index']}: {flag}")
+    return lines
 
 
-def _cmd_eqn1(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "blocks")
-    if args.lag is not None:
-        inputs["lag"] = args.lag
-    entries = []
-    for text in texts:
-        bs = _parse_blocks(text)
-        if args.lag is not None:
-            if not 1 <= args.lag < len(bs):
-                raise UsageError(f"lag {args.lag} out of range for {len(bs)} blocks")
-            residual = blockform.cancellation_residual(bs, args.lag)
-            entries.append(
-                {
-                    "blocks": bs.text,
-                    "lag": args.lag,
-                    "residual": _matrix_rows(residual),
-                    "zero": residual.is_zero,
-                }
-            )
-        else:
-            residuals = [
-                blockform.cancellation_residual(bs, u) for u in range(1, len(bs))
-            ]
-            entries.append(
-                {
-                    "blocks": bs.text,
-                    "residuals": [
-                        {"lag": u, "matrix": _matrix_rows(r), "zero": r.is_zero}
-                        for u, r in enumerate(residuals, start=1)
-                    ],
-                    "holds": all(r.is_zero for r in residuals),
-                }
-            )
-    ok = all(e.get("zero", e.get("holds")) for e in entries)
-    result = entries[0] if len(entries) == 1 and args.file is None else entries
-    return Report("eqn1", inputs, result, ok)
+def _eqn1_entry(text: str, lag: int | None) -> dict:
+    bs = BlockSequence.from_text(text)
+    if lag is None:
+        residuals = [blockform.cancellation_residual(bs, u) for u in range(1, len(bs))]
+        return {
+            "blocks": bs.text,
+            "residuals": [
+                {"lag": u, "matrix": _matrix_rows(r), "zero": r.is_zero}
+                for u, r in enumerate(residuals, start=1)
+            ],
+            "holds": all(r.is_zero for r in residuals),
+        }
+    if not 1 <= lag < len(bs):
+        raise ValueError(f"lag {lag} out of range for {len(bs)} blocks")
+    residual = blockform.cancellation_residual(bs, lag)
+    return {
+        "blocks": bs.text,
+        "lag": lag,
+        "residual": _matrix_rows(residual),
+        "zero": residual.is_zero,
+    }
 
 
-def _render_eqn1(report: Report) -> str:
-    entries = report.result if isinstance(report.result, list) else [report.result]
-    lines = []
-    for e in entries:
-        lines.append(f"blocks : {e['blocks']}")
-        if "lag" in e:
-            m = SymBlockMatrix(e["residual"][0][0], e["residual"][0][1])
-            lines.append(f"residual at lag {e['lag']}:")
-            lines += [f"  {row}" for row in _grid(m)]
-            lines.append(f"zero : {'yes' if e['zero'] else 'no'}")
-        else:
-            for item in e["residuals"]:
-                m = SymBlockMatrix(item["matrix"][0][0], item["matrix"][0][1])
-                flag = "zero" if item["zero"] else "NONZERO"
-                lines.append(
-                    f"  lag {item['lag']}: [[{m.diag}, {m.offdiag}], "
-                    f"[{m.offdiag}, {m.diag}]]  {flag}"
-                )
-            lines.append(f"cancellation holds : {'yes' if e['holds'] else 'no'}")
-        lines.append("")
-    return "\n".join(lines).rstrip()
+def _eqn1_lines(e: dict) -> list[str]:
+    lines = [f"blocks : {e['blocks']}"]
+    if "lag" in e:
+        rows = e["residual"]
+        width = max(len(str(v)) for row in rows for v in row)
+        lines.append(f"residual at lag {e['lag']}:")
+        lines += [f"  [ {a:>{width}} {b:>{width}} ]" for a, b in rows]
+        lines.append(f"zero : {'yes' if e['zero'] else 'no'}")
+    else:
+        for item in e["residuals"]:
+            flag = "zero" if item["zero"] else "NONZERO"
+            lines.append(f"  lag {item['lag']}: {item['matrix']}  {flag}")
+        lines.append(f"cancellation holds : {'yes' if e['holds'] else 'no'}")
+    return lines
 
 
-def _read_matching_book(path_text: str) -> tuple[Path, MatchingBook]:
-    path = Path(path_text)
-    if not path.exists():
-        raise UsageError(f"no such matchings file: {path}")
+def _read_book(path: Path, bs: BlockSequence) -> tuple[MatchingBook, list[str]]:
+    """The matching book in a file, and its violations against the block row."""
+    text = _read_file(path)
     try:
-        book = matchchase.parse_matching_lines(
-            path.read_text(encoding="utf-8").splitlines()
-        )
+        book = matchchase.parse_matching_lines(text.splitlines())
     except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    return path, book
-
-
-def _book_violations(bs: BlockSequence, book: MatchingBook) -> list[str]:
+        raise ValueError(f"{path}: {exc}") from exc
     problems = []
     for m in book.matchings():
         verdict = matchchase.validate_matching(bs, m)
         problems += [f"lag {m.lag}: {v}" for v in verdict.violations]
-    return problems
+    return book, problems
 
 
 def _cmd_match(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "blocks")
-    if len(texts) != 1:
-        raise UsageError("match works on a single block sequence")
-    bs = _parse_blocks(texts[0])
+    bs = BlockSequence.from_text(args.blocks)
+    inputs: dict = {"blocks": args.blocks}
     if args.matchings is not None:
         inputs["matchings"] = args.matchings
-        _, book = _read_matching_book(args.matchings)
-        violations = _book_violations(bs, book)
+        book, violations = _read_book(Path(args.matchings), bs)
         result = {
             "blocks": bs.text,
             "matchings": matchchase.render_matching_lines(book),
@@ -324,20 +251,14 @@ def _cmd_match(args: argparse.Namespace) -> Report:
     per_lag = []
     for u in lags:
         if not 1 <= u < len(bs):
-            raise UsageError(f"lag {u} out of range for {len(bs)} blocks")
+            raise ValueError(f"lag {u} out of range for {len(bs)} blocks")
         found = matchchase.find_matching(bs, u)
         matched = set(found.index_pairs())
-        unmatched = [
-            [p.first, p.second]
-            for p in matchchase.even_pairs_at_lag(bs, u)
-            if p not in matched
-        ]
+        unmatched = [_pair(p) for p in matchchase.even_pairs_at_lag(bs, u) if p not in matched]
         per_lag.append(
             {
                 "lag": u,
-                "pairs": [
-                    [[p.first, p.second], [q.first, q.second]] for p, q in found.pairs
-                ],
+                "pairs": [[_pair(p), _pair(q)] for p, q in found.pairs],
                 "unmatched": unmatched,
                 "perfect": not unmatched,
             }
@@ -348,8 +269,7 @@ def _cmd_match(args: argparse.Namespace) -> Report:
     return Report("match", inputs, result, result["all_perfect"])
 
 
-def _render_match(report: Report) -> str:
-    r = report.result
+def _render_match(r: dict) -> str:
     lines = [f"blocks : {r['blocks']}"]
     if "violations" in r:
         for line in r["matchings"]:
@@ -375,14 +295,11 @@ def _render_match(report: Report) -> str:
 def _trace_payload(trace: ChaseTrace) -> dict:
     return {
         "steps": [
-            {
-                "obligation": [s.obligation.first, s.obligation.second],
-                "matched": None if s.matched is None else [s.matched.first, s.matched.second],
-            }
+            {"obligation": _pair(s.obligation), "matched": _pair(s.matched)}
             for s in trace.steps
         ],
         "outcome": str(trace.outcome),
-        "repeat": None if trace.repeat is None else [trace.repeat.first, trace.repeat.second],
+        "repeat": _pair(trace.repeat),
         "successful_steps": trace.successful_steps(),
     }
 
@@ -406,38 +323,29 @@ def _trace_lines(payload: dict) -> list[str]:
 
 
 def _cmd_chase(args: argparse.Namespace) -> Report:
-    texts, inputs = _read_instances(args, "blocks")
-    if len(texts) != 1:
-        raise UsageError("chase works on a single block sequence")
-    bs = _parse_blocks(texts[0])
+    bs = BlockSequence.from_text(args.blocks)
     if args.matchings is None:
-        raise UsageError("chase needs --matchings")
+        raise ValueError("chase needs --matchings")
     if args.start is None:
-        raise UsageError("chase needs --start i,j")
-    inputs["matchings"] = args.matchings
-    inputs["start"] = args.start
-    path, book = _read_matching_book(args.matchings)
-    problems = _book_violations(bs, book)
+        raise ValueError("chase needs --start i,j")
+    inputs = {"blocks": args.blocks, "matchings": args.matchings, "start": args.start}
+    path = Path(args.matchings)
+    book, problems = _read_book(path, bs)
     if problems:
-        raise UsageError(f"{path}: invalid matchings\n" + "\n".join(problems))
+        raise ValueError(f"{path}: invalid matchings\n" + "\n".join(problems))
     start = _parse_start(args.start)
-    try:
-        trace = matchchase.chase(bs, book, start)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    payload = _trace_payload(trace)
+    trace = matchchase.chase(bs, book, start)
     result = {
         "blocks": bs.text,
-        "start": [start.first, start.second],
+        "start": _pair(start),
         "matchings": matchchase.render_matching_lines(book),
-        "trace": payload,
+        "trace": _trace_payload(trace),
     }
     ok = trace.outcome in (ChaseOutcome.CYCLE, ChaseOutcome.DEGENERATE)
     return Report("chase", inputs, result, ok)
 
 
-def _render_chase(report: Report) -> str:
-    r = report.result
+def _render_chase(r: dict) -> str:
     lines = [f"blocks : {r['blocks']}", "matchings:"]
     lines += [f"  {line}" for line in r["matchings"]]
     lines.append(f"start  : ({r['start'][0]},{r['start'][1]})")
@@ -475,7 +383,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> Report:
     ]
     result = {
         "blocks": bs.text,
-        "start": [start.first, start.second],
+        "start": _pair(start),
         "matchings": matchchase.render_matching_lines(book),
         "even_indices": list(even),
         "checks": checks,
@@ -484,8 +392,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> Report:
     return Report("counterexample", {}, result, all(c["pass"] for c in checks))
 
 
-def _render_counterexample(report: Report) -> str:
-    r = report.result
+def _render_counterexample(r: dict) -> str:
     lines = [f"blocks : {r['blocks']}", "matchings:"]
     lines += [f"  {line}" for line in r["matchings"]]
     width = max(len(c["name"]) for c in r["checks"])
@@ -502,21 +409,18 @@ def _cmd_search(args: argparse.Namespace) -> Report:
         prunes = searcher.ALL_PRUNES
     elif "none" in args.prune:
         if len(set(args.prune)) > 1:
-            raise UsageError("--prune none cannot be combined with other prunes")
+            raise ValueError("--prune none cannot be combined with other prunes")
         prunes = frozenset()
     else:
         prunes = frozenset(args.prune)
-    try:
-        cfg = searcher.SearchConfig(
-            order=args.order,
-            prunes=prunes,
-            workers=args.workers,
-            canonicalize=args.canonical,
-            budget_seconds=args.budget_seconds,
-            ledger_path=args.ledger,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = searcher.SearchConfig(
+        order=args.order,
+        prunes=prunes,
+        workers=args.workers,
+        canonicalize=args.canonical,
+        budget_seconds=args.budget_seconds,
+        ledger_path=args.ledger,
+    )
     report = searcher.search(cfg)
     inputs = {
         "order": args.order,
@@ -531,8 +435,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
     return Report("search", inputs, report.to_dict(), not report.incomplete)
 
 
-def _render_search(report: Report) -> str:
-    r = report.result
+def _render_search(r: dict) -> str:
     lines = [
         f"order              : {r['order']}",
         f"prunes             : {', '.join(r['prunes']) if r['prunes'] else 'none'}",
@@ -555,17 +458,6 @@ def _render_search(report: Report) -> str:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-_RENDERERS: dict[str, Callable[[Report], str]] = {
-    "verify": _render_verify,
-    "paf": _render_paf,
-    "decompose": _render_decompose,
-    "eqn1": _render_eqn1,
-    "match": _render_match,
-    "chase": _render_chase,
-    "counterexample": _render_counterexample,
-    "search": _render_search,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -578,52 +470,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="check the circulant Hadamard property")
-    p.add_argument("sequence", nargs="?", help="sign sequence, e.g. -+++")
-    p.add_argument("--file", help="file with one sequence per line")
-    p.set_defaults(handler=_cmd_verify)
+    def per_instance(name, summary, what, entry, lines, *, example=None,
+                     holds=lambda e: True, separator="\n\n"):
+        noun = "block sequence" if what == "blocks" else what
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument(what, nargs="?", help=example)
+        p.add_argument("--file", help=f"file with one {noun} per line")
+        p.set_defaults(
+            handler=partial(_run_instances, what, entry, holds),
+            render=partial(_render_instances, lines, separator),
+        )
+        return p
 
-    p = sub.add_parser("paf", parents=[common], help="periodic autocorrelation")
-    p.add_argument("sequence", nargs="?")
-    p.add_argument("--file", help="file with one sequence per line")
-    p.add_argument("--lag", type=int, help="single lag instead of the full spectrum")
-    p.set_defaults(handler=_cmd_paf)
-
-    p = sub.add_parser("decompose", parents=[common], help="2-block decomposition")
-    p.add_argument("sequence", nargs="?")
-    p.add_argument("--file", help="file with one sequence per line")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser(
-        "eqn1", parents=[common], help="even-pair cancellation residuals"
+    per_instance(
+        "verify", "check the circulant Hadamard property", "sequence",
+        _verify_entry, _verify_lines, example="sign sequence, e.g. -+++",
+        holds=lambda e: e["is_circulant_hadamard"],
     )
-    p.add_argument("blocks", nargs="?", help="block text, e.g. ++,+-,--,+-,--,+-")
-    p.add_argument("--file", help="file with one block sequence per line")
+    p = per_instance(
+        "paf", "periodic autocorrelation", "sequence", _paf_entry, _paf_lines,
+        separator="\n",
+    )
+    p.add_argument("--lag", type=int, help="single lag instead of the full spectrum")
+    per_instance(
+        "decompose", "2-block decomposition", "sequence", _decompose_entry, _decompose_lines
+    )
+    p = per_instance(
+        "eqn1", "even-pair cancellation residuals", "blocks", _eqn1_entry, _eqn1_lines,
+        example="block text, e.g. ++,+-,--,+-,--,+-",
+        holds=lambda e: e.get("zero", e.get("holds")),
+    )
     p.add_argument("--lag", type=int, help="single lag instead of all lags")
-    p.set_defaults(handler=_cmd_eqn1)
 
     p = sub.add_parser(
         "match", parents=[common], help="find or validate matchings at a lag"
     )
-    p.add_argument("blocks", nargs="?")
-    p.add_argument("--file", help="file with one block sequence per line")
+    p.add_argument("blocks")
     p.add_argument("--lag", type=int)
     p.add_argument("--matchings", help="validate this matching file instead of searching")
-    p.set_defaults(handler=_cmd_match)
+    p.set_defaults(handler=_cmd_match, render=_render_match)
 
     p = sub.add_parser("chase", parents=[common], help="run the obligation chase")
-    p.add_argument("blocks", nargs="?")
-    p.add_argument("--file", help="file with one block sequence per line")
+    p.add_argument("blocks")
     p.add_argument("--matchings", help="matching file, one 'u=..: (i,j)~(l,m)' per line")
     p.add_argument("--start", help="starting obligation, e.g. 0,2")
-    p.set_defaults(handler=_cmd_chase)
+    p.set_defaults(handler=_cmd_chase, render=_render_chase)
 
     p = sub.add_parser(
         "counterexample",
         parents=[common],
         help="verify the bundled cycling instance end to end",
     )
-    p.set_defaults(handler=_cmd_counterexample)
+    p.set_defaults(handler=_cmd_counterexample, render=_render_counterexample)
 
     p = sub.add_parser("search", parents=[common], help="exhaustive search at one order")
     p.add_argument("--order", type=int, required=True)
@@ -643,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true", help="also report orbit representatives")
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--ledger", help="append-only shard ledger for resumable runs")
-    p.set_defaults(handler=_cmd_search)
+    p.set_defaults(handler=_cmd_search, render=_render_search)
 
     return parser
 
@@ -662,7 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "json":
         print(render_json(report))
     else:
-        print(_RENDERERS[report.command](report))
+        print(args.render(report.result))
     return 0 if report.ok else 1
 
 

@@ -361,6 +361,8 @@ class _ShardLedger:
                 return
         except OSError as exc:
             raise ValueError(f"ledger {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"ledger {path}: {exc}") from None
         self._load(text)
 
     def _load(self, text: str) -> None:

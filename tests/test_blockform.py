@@ -14,7 +14,6 @@ from circhad.blockform import (
     cancellation_residual,
     even_count,
     is_symmetric_even,
-    parity,
     recompose,
 )
 from circhad.seqcore import SignSequence, paf
@@ -38,9 +37,9 @@ def blocks(text):
 
 class TestTwoBlock:
     def test_parity(self):
-        assert parity(TwoBlock(1, 1)) is Parity.EVEN
-        assert parity(TwoBlock(1, -1)) is Parity.ODD
-        assert parity(TwoBlock(-1, -1)) is Parity.EVEN
+        assert TwoBlock(1, 1).parity is Parity.EVEN
+        assert TwoBlock(1, -1).parity is Parity.ODD
+        assert TwoBlock(-1, -1).parity is Parity.EVEN
 
     def test_entry_validation(self):
         with pytest.raises(ValueError):

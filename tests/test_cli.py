@@ -289,6 +289,14 @@ class TestSearchCommand:
         assert out == ""
         assert f"ledger {tmp_path}:" in err
 
+    def test_ledger_not_utf8_exit_two(self, capsys, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        ledger.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(ledger))
+        assert code == 2
+        assert out == ""
+        assert f"error: ledger {ledger}: 'utf-8' codec can't decode" in err
+
     def test_ledger_in_missing_directory_exit_two(self, capsys, tmp_path):
         ledger = tmp_path / "missing" / "shards.ledger"
         code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(ledger))
@@ -302,6 +310,29 @@ class TestSearchCommand:
             capsys, "search", "--order", "8", "--prune", "none", "--prune", "row-sum"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--file", "{path}"),
+        ("paf", "--file", "{path}"),
+        ("match", COUNTEREXAMPLE_BLOCKS, "--matchings", "{path}"),
+        ("chase", COUNTEREXAMPLE_BLOCKS, "--matchings", "{path}", "--start", "0,2"),
+    ],
+    ids=["verify-file", "paf-file", "match-matchings", "chase-matchings"],
+)
+def test_unreadable_input_file_exit_two(capsys, tmp_path, argv, unreadable):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00\n")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: " in err
 
 
 class TestJsonRoundTrip:
