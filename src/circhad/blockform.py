@@ -9,6 +9,13 @@ column c with column c + 2n reorders a circulant of order 4n into a
 
 Matrices of the form [[a, b], [b, a]] are closed under sums and products
 and commute with each other, so every quantity here is an exact integer.
+
+The product of two even blocks is 2 * d_i * d_j * J, where d is the
+block's diagonal sign and J the all-ones 2x2 matrix, so the even-pair
+cancellation residual at lag u is 2 * sum(d_i * d_{i+u}) * J over the i
+where M_i and M_{i+u} are both even.  A block sequence keeps two bitmasks,
+its even blocks and its even blocks with d = -1, and the residual's
+coefficient is two popcounts of those masks rotated by u.
 """
 
 from __future__ import annotations
@@ -106,21 +113,27 @@ class SymBlockMatrix:
         return f"[[{self.diag}, {self.offdiag}], [{self.offdiag}, {self.diag}]]"
 
 
-ZERO = SymBlockMatrix(0, 0)
-
-
 class BlockSequence:
     """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n."""
 
-    __slots__ = ("_blocks",)
+    __slots__ = ("_blocks", "_even", "_minus")
 
     def __init__(self, blocks: Iterable[TwoBlock]) -> None:
         items = tuple(blocks)
         if len(items) < 2 or len(items) % 2 != 0:
             raise ValueError("a block sequence needs an even number of blocks, at least 2")
-        if not all(isinstance(b, TwoBlock) for b in items):
-            raise ValueError("block sequence entries must be TwoBlock values")
+        # bit i of _even: block i is even; of _minus: block i is even with diag -1
+        even = minus = 0
+        for i, b in enumerate(items):
+            if not isinstance(b, TwoBlock):
+                raise ValueError("block sequence entries must be TwoBlock values")
+            if b.is_even:
+                even |= 1 << i
+                if b.diag < 0:
+                    minus |= 1 << i
         self._blocks = items
+        self._even = even
+        self._minus = minus
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSequence":
@@ -161,7 +174,7 @@ class BlockSequence:
         return f"BlockSequence.from_text({self.text!r})"
 
     def even_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self._blocks) if b.is_even)
+        return tuple(i for i in range(len(self._blocks)) if self._even >> i & 1)
 
 
 def block_decompose(h: SignSequence) -> BlockSequence:
@@ -184,7 +197,7 @@ def recompose(bs: BlockSequence) -> SignSequence:
 
 
 def even_count(bs: BlockSequence) -> int:
-    return sum(1 for b in bs if b.is_even)
+    return bs._even.bit_count()
 
 
 def block_product(a: TwoBlock, b: TwoBlock) -> SymBlockMatrix:
@@ -202,25 +215,38 @@ def _normalized_lag(u: int, mod: int) -> int:
     return u
 
 
+def _residual(bs: BlockSequence, u: int) -> int:
+    """The J-coefficient of the even-pair residual at a lag 1 <= u < 2n.
+
+    Rotating a mask right by u puts bit i + u at bit i, so ``both`` marks
+    the even pairs (i, i + u) and ``flips`` the pairs whose diagonal signs
+    differ; each pair adds 2 * d_i * d_{i+u}.
+    """
+    mod = len(bs)
+    even, minus = bs._even, bs._minus
+    both = even & (even >> u | even << (mod - u))
+    flips = both & (minus ^ (minus >> u | minus << (mod - u)))
+    return 2 * (both.bit_count() - 2 * flips.bit_count())
+
+
 def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
     """Sum of M_i * M_{i+u} over the i where both blocks are even.
 
-    An empty sum is the zero matrix.  The lag is cyclic and must be nonzero
-    modulo 2n.
+    Every term is a multiple of J, so the sum is k * J for the integer k
+    that _residual computes; an empty sum is the zero matrix.  The lag is
+    cyclic and must be nonzero modulo 2n.
     """
-    mod = len(bs)
-    u = _normalized_lag(u, mod)
-    total = ZERO
-    for i in range(mod):
-        a, b = bs[i], bs[i + u]
-        if a.is_even and b.is_even:
-            total = total + block_product(a, b)
-    return total
+    k = _residual(bs, _normalized_lag(u, len(bs)))
+    return SymBlockMatrix(k, k)
 
 
 def cancellation_holds(bs: BlockSequence) -> bool:
-    """True when the even-pair product sum vanishes at every nonzero lag."""
-    return all(cancellation_residual(bs, u).is_zero for u in range(1, len(bs)))
+    """True when the even-pair product sum vanishes at every nonzero lag.
+
+    The pairs at lag u are the pairs at lag 2n - u read the other way
+    round, so lags 1..n cover every lag.
+    """
+    return not any(_residual(bs, u) for u in range(1, bs.n + 1))
 
 
 def is_symmetric_even(bs: BlockSequence, i: int) -> bool:

@@ -79,25 +79,36 @@ def _run_instances(
     args: argparse.Namespace,
 ) -> Report:
     """One entry from the positional argument, or a list of one per line of
-    --file; the report holds when every entry does."""
+    --file; the report holds when every entry does.  An error on a line of
+    the file names the file and the line's number in it."""
     positional = getattr(args, what)
     lag = getattr(args, "lag", None)
+    # (error prefix, text) per instance
     if args.file is None:
         if positional is None:
             raise ValueError(f"missing {what}; give it inline or via --file")
         inputs: dict = {what: positional}
-        texts = [positional]
+        sources = [("", positional)]
     elif positional is not None:
         raise ValueError(f"give the {what} either inline or via --file, not both")
     else:
         path = Path(args.file)
-        texts = [ln.strip() for ln in _read_file(path).splitlines() if ln.strip()]
-        if not texts:
+        sources = [
+            (f"{path}: line {number}: ", line.strip())
+            for number, line in enumerate(_read_file(path).splitlines(), start=1)
+            if line.strip()
+        ]
+        if not sources:
             raise ValueError(f"{path} contains no instances")
-        inputs = {"file": str(path), "count": len(texts)}
+        inputs = {"file": str(path), "count": len(sources)}
     if lag is not None:
         inputs["lag"] = lag
-    entries = [entry(text, lag) for text in texts]
+    entries = []
+    for where, text in sources:
+        try:
+            entries.append(entry(text, lag))
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from exc
     result = entries if args.file is not None else entries[0]
     return Report(args.command, inputs, result, all(holds(e) for e in entries))
 

@@ -174,6 +174,10 @@ class _PackedLags:
     The increments come from two more packed integers of the prefix: ``rev``
     holds bit h[p-u] in field u (the prefix reversed), and ``fwd`` holds the
     first half forward, h[j] in field j+1, for the products that wrap round.
+
+    Once every position is set, all L products of each lag are settled, and
+    paf(u) = 0 for every u = 1..L/2 (hence, by paf(u) = paf(L-u), for every
+    nonzero lag) exactly when ``neg`` equals ``balanced``, L/2 in every field.
     """
 
     def __init__(self, order: int) -> None:
@@ -192,6 +196,7 @@ class _PackedLags:
         self.width = W
         self.guard = fields((u, top) for u in lags)
         self.upper = fields((u, top - 1 - half) for u in lags)
+        self.balanced = fields((u, half) for u in lags)
         self.lower = tuple(
             fields((u, top + half - settled(u, p)) for u in lags) for p in range(L)
         )
@@ -267,7 +272,7 @@ def _run_shard(
             cuts[PRUNE_PREFIX_PAF] += 1
             return _ShardResult(prefix, True, 0, cuts, ())
 
-    W, guard, upper = lags.width, lags.guard, lags.upper
+    W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
     lower, back, wrap, both = lags.lower, lags.back, lags.wrap, lags.both
     shift, spread = lags.shift, lags.spread
     examined = rowsum_cuts = paf_cuts = 0
@@ -280,9 +285,12 @@ def _run_shard(
         nonlocal examined, rowsum_cuts, paf_cuts, aborted, poll
         if p == L:
             examined += 1
-            seq = SignSequence.from_bits(L, bits)
-            if is_circulant_hadamard(seq):
-                hits.append(seq.text)
+            # only a row whose counters all read L/2 can be a hit; the
+            # predicate has the last word on it
+            if neg == balanced:
+                seq = SignSequence.from_bits(L, bits)
+                if is_circulant_hadamard(seq):
+                    hits.append(seq.text)
             return
         poll -= 1
         if not poll:

@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 
+from circhad.blockform import BlockSequence, SymBlockMatrix, block_product
+
 
 def dense_circulant(text: str) -> np.ndarray:
     entries = [1 if ch == "+" else -1 for ch in text]
@@ -148,3 +150,14 @@ def reference_search(order: int, prunes) -> tuple[int, dict, tuple]:
             cuts[name] += shard_cuts[name]
     negated = ["".join("-" if ch == "+" else "+" for ch in t) for t in hits]
     return examined, cuts, tuple(sorted(set(hits + negated)))
+
+
+def reference_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
+    """The even-pair cancellation residual at lag u the direct way: the sum
+    of the 2x2 products M_i * M_{i+u} over the i where both are even."""
+    total = SymBlockMatrix(0, 0)
+    for i in range(len(bs)):
+        a, b = bs[i], bs[i + u]
+        if a.is_even and b.is_even:
+            total = total + block_product(a, b)
+    return total

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from circhad.blockform import (
     BlockSequence,
@@ -16,9 +17,10 @@ from circhad.blockform import (
     is_symmetric_even,
     recompose,
 )
+from circhad.searcher import all_block_sequences
 from circhad.seqcore import SignSequence, paf
 
-from helpers import random_sign_text
+from helpers import random_sign_text, reference_residual
 
 COUNTEREXAMPLE_BLOCKS = "++,+-,--,+-,--,+-"
 
@@ -191,6 +193,43 @@ class TestResidual:
         assert cancellation_holds(block_decompose(seq("-+++")))
         assert not cancellation_holds(blocks(COUNTEREXAMPLE_BLOCKS))
         assert cancellation_holds(blocks("+-,-+,+-,-+"))
+
+    @pytest.mark.parametrize("length", [2, 4, 6])
+    def test_matches_reference_exhaustively(self, length):
+        held = 0
+        for bs in all_block_sequences(length):
+            expected = [reference_residual(bs, u) for u in range(1, length)]
+            assert [cancellation_residual(bs, u) for u in range(1, length)] == expected
+            holds = cancellation_holds(bs)
+            assert holds == all(r.is_zero for r in expected)
+            held += holds
+            evens = tuple(i for i, b in enumerate(bs) if b.is_even)
+            assert bs.even_indices() == evens
+            assert even_count(bs) == len(evens)
+            for i in evens:
+                assert is_symmetric_even(bs, i) == bs[i + bs.n].is_even
+        assert 0 < held < 4**length
+
+
+@st.composite
+def block_rows(draw):
+    length = 2 * draw(st.integers(1, 25))
+    return BlockSequence(draw(st.lists(st.sampled_from(ALL_BLOCKS), min_size=length, max_size=length)))
+
+
+@given(block_rows())
+def test_residual_matches_reference_and_compression(bs):
+    h = recompose(bs)
+    half = len(bs)
+    references = []
+    for u in range(1, half):
+        residual = cancellation_residual(bs, u)
+        reference = reference_residual(bs, u)
+        assert residual == reference
+        # the 2-compression identity: residual = (paf(h,u) + paf(h,u+2n)) / 2 * J
+        assert residual.diag == residual.offdiag == (paf(h, u) + paf(h, u + half)) // 2
+        references.append(reference)
+    assert cancellation_holds(bs) == all(r.is_zero for r in references)
 
 
 class TestSymmetricEven:

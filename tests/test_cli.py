@@ -335,6 +335,26 @@ def test_unreadable_input_file_exit_two(capsys, tmp_path, argv, unreadable):
     assert f"error: {path}: " in err
 
 
+@pytest.mark.parametrize(
+    "argv,lines,message",
+    [
+        (("verify",), ["-+++", "", "+*+-"], "invalid character '*' at position 1"),
+        (("paf", "--lag", "5"), ["+--+-+++", "", "++"], "lag 5 out of range for length 2"),
+        (("decompose",), ["-+++", "", "+++"], "length 3 is not divisible by 4"),
+        (("eqn1",), [COUNTEREXAMPLE_BLOCKS, "", "++,+"], "invalid 2-block text '+'"),
+    ],
+    ids=["verify", "paf-lag", "decompose", "eqn1"],
+)
+def test_bad_corpus_line_names_file_and_line(capsys, tmp_path, argv, lines, message):
+    # the blank line is skipped but still counted: the bad line is line 3
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, argv[0], "--file", str(corpus), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {corpus}: line 3: {message}")
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "argv",

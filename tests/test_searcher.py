@@ -18,7 +18,7 @@ from circhad.searcher import (
 )
 from circhad.seqcore import SignSequence, is_circulant_hadamard
 
-from helpers import all_sign_texts, dense_hadamard_ok, reference_search
+from helpers import all_sign_texts, dense_hadamard_ok, reference_residual, reference_search
 
 PAF = frozenset({"prefix-paf"})
 ROWSUM = frozenset({"row-sum"})
@@ -182,8 +182,9 @@ def sign_rows(draw):
     return draw(st.lists(st.sampled_from((1, -1)), min_size=length, max_size=length))
 
 
-@given(sign_rows())
-def test_packed_lag_verdict_matches_direct_check(row):
+def _check_packed_lags(row) -> bool:
+    """Settle the row one position at a time, checking every lag counter
+    and the cut verdict against a direct count; return the leaf verdict."""
     L = len(row)
     lags = _PackedLags(L)
     field = (1 << lags.width) - 1
@@ -198,6 +199,22 @@ def test_packed_lag_verdict_matches_direct_check(row):
             assert neg >> lags.width * (u - 1) & field == settled.count(-1)
             direct = direct or abs(sum(settled)) > L - len(settled)
         assert lags.cut(p, neg) == direct
+    balanced = neg == lags.balanced
+    assert balanced == is_circulant_hadamard(SignSequence(row))
+    return balanced
+
+
+@given(sign_rows())
+def test_packed_lag_verdict_matches_direct_check(row):
+    _check_packed_lags(row)
+
+
+def test_packed_leaf_verdict_exhaustive_length_four():
+    verdicts = [
+        _check_packed_lags([1 if ch == "+" else -1 for ch in text])
+        for text in all_sign_texts(4)
+    ]
+    assert sum(verdicts) == 8
 
 
 class TestBudgetAndLedger:
@@ -273,6 +290,16 @@ class TestBlockEnumeration:
     def test_cancellation_filter_is_vacuous_at_n1(self):
         filtered = list(enumerate_block_sequences(1, predicate=cancellation_holds))
         assert len(filtered) == 8
+
+    @pytest.mark.parametrize("n,count", [(3, 0), (4, 768)])
+    def test_cancellation_census_matches_reference(self, n, count):
+        def reference_holds(bs):
+            return all(reference_residual(bs, u).is_zero for u in range(1, len(bs)))
+
+        filtered = list(enumerate_block_sequences(n, predicate=cancellation_holds))
+        expected = [bs for bs in enumerate_block_sequences(n) if reference_holds(bs)]
+        assert filtered == expected
+        assert len(filtered) == count
 
     def test_counterexample_reachable_at_n3(self):
         def has_unsymmetric_even(bs):
