@@ -206,8 +206,6 @@ class TestResidual:
             evens = tuple(i for i, b in enumerate(bs) if b.is_even)
             assert bs.even_indices() == evens
             assert even_count(bs) == len(evens)
-            for i in evens:
-                assert is_symmetric_even(bs, i) == bs[i + bs.n].is_even
         assert 0 < held < 4**length
 
 
