@@ -88,6 +88,11 @@ class TwoBlock:
         return self.text
 
 
+# the four 2-blocks in lexicographic order, ++ < +- < -+ < --: the index of a
+# block is 2 * (diag == -1) + (offdiag == -1), its two sign bits
+_BLOCK_ALPHABET = (TwoBlock(1, 1), TwoBlock(1, -1), TwoBlock(-1, 1), TwoBlock(-1, -1))
+
+
 @dataclass(frozen=True)
 class SymBlockMatrix:
     """Integer matrix [[diag, offdiag], [offdiag, diag]]; sums and products
@@ -113,6 +118,18 @@ class SymBlockMatrix:
         return f"[[{self.diag}, {self.offdiag}], [{self.offdiag}, {self.diag}]]"
 
 
+def _block_masks(blocks: Iterable[TwoBlock]) -> tuple[int, int]:
+    """(even, minus): bit i of even is set when block i is even, and of
+    minus when block i is even with diag -1."""
+    even = minus = 0
+    for i, b in enumerate(blocks):
+        if b.is_even:
+            even |= 1 << i
+            if b.diag < 0:
+                minus |= 1 << i
+    return even, minus
+
+
 class BlockSequence:
     """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n."""
 
@@ -122,18 +139,20 @@ class BlockSequence:
         items = tuple(blocks)
         if len(items) < 2 or len(items) % 2 != 0:
             raise ValueError("a block sequence needs an even number of blocks, at least 2")
-        # bit i of _even: block i is even; of _minus: block i is even with diag -1
-        even = minus = 0
-        for i, b in enumerate(items):
-            if not isinstance(b, TwoBlock):
-                raise ValueError("block sequence entries must be TwoBlock values")
-            if b.is_even:
-                even |= 1 << i
-                if b.diag < 0:
-                    minus |= 1 << i
+        if not all(isinstance(b, TwoBlock) for b in items):
+            raise ValueError("block sequence entries must be TwoBlock values")
         self._blocks = items
-        self._even = even
-        self._minus = minus
+        self._even, self._minus = _block_masks(items)
+
+    @classmethod
+    def _make(cls, blocks: tuple[TwoBlock, ...], even: int, minus: int) -> "BlockSequence":
+        """Trusted constructor: the caller guarantees an even number (at
+        least 2) of TwoBlock values and the masks that __init__ would compute."""
+        bs = cls.__new__(cls)
+        bs._blocks = blocks
+        bs._even = even
+        bs._minus = minus
+        return bs
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSequence":
@@ -182,13 +201,21 @@ def block_decompose(h: SignSequence) -> BlockSequence:
 
     Block d carries h[d] on the diagonal and h[d + 2n] off it, which is the
     cell content produced by the half-shift row/column pairing described in
-    the module docstring.
+    the module docstring.  In the packed form, ``low`` holds the diagonal
+    signs and ``high`` the off-diagonal ones (bit set for -1): a block is
+    even where the two bits agree, and has diag -1 where ``low`` is set.
     """
     L = len(h)
     if L % 4 != 0:
         raise ValueError(f"sequence length {L} is not divisible by 4")
     half = L // 2
-    return BlockSequence(TwoBlock(h[d], h[d + half]) for d in range(half))
+    mask = (1 << half) - 1
+    low, high = h.bits & mask, h.bits >> half
+    blocks = tuple(
+        _BLOCK_ALPHABET[(low >> d & 1) << 1 | high >> d & 1] for d in range(half)
+    )
+    even = ~(low ^ high) & mask
+    return BlockSequence._make(blocks, even, even & low)
 
 
 def recompose(bs: BlockSequence) -> SignSequence:
@@ -246,7 +273,10 @@ def cancellation_holds(bs: BlockSequence) -> bool:
     The pairs at lag u are the pairs at lag 2n - u read the other way
     round, so lags 1..n cover every lag.
     """
-    return not any(_residual(bs, u) for u in range(1, bs.n + 1))
+    for u in range(1, bs.n + 1):
+        if _residual(bs, u):
+            return False
+    return True
 
 
 def is_symmetric_even(bs: BlockSequence, i: int) -> bool:

@@ -40,7 +40,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .blockform import BlockSequence, TwoBlock
+from .blockform import _BLOCK_ALPHABET, BlockSequence, _block_masks
 from .seqcore import SignSequence, is_circulant_hadamard
 
 __all__ = [
@@ -353,6 +353,12 @@ class _ShardLedger:
     been fully traversed.  The header pins order and prune selection so a
     ledger cannot silently be reused across configurations.  A malformed
     record is refused with a ValueError naming the file and the line.
+
+    record() only ever appends whole lines, so a final line without its
+    newline is a write torn by a crash, even where it parses (a counter
+    cut inside its digits does).  It is dropped, and the file is cut back
+    to its last newline so that the next record starts a fresh line; the
+    shard it belonged to runs again.
     """
 
     def __init__(self, path: Path, cfg: SearchConfig) -> None:
@@ -363,7 +369,8 @@ class _ShardLedger:
         self.recorded: dict[str, _ShardResult] = {}
         try:
             if path.exists():
-                text = path.read_text(encoding="utf-8")
+                data = path.read_bytes()
+                text = data.decode("utf-8")
             else:
                 path.write_text(self.header + "\n", encoding="utf-8")
                 return
@@ -371,7 +378,16 @@ class _ShardLedger:
             raise ValueError(f"ledger {path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"ledger {path}: {exc}") from None
-        self._load(text)
+        # the header is checked before anything is cut, so a file that is
+        # not a ledger of this search is refused untouched
+        self._load(text[: text.rfind("\n") + 1])
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            try:
+                with path.open("r+b") as handle:
+                    handle.truncate(whole)
+            except OSError as exc:
+                raise ValueError(f"ledger {path}: {exc.strerror}") from None
 
     def _load(self, text: str) -> None:
         lines = text.splitlines()
@@ -528,7 +544,22 @@ def search(cfg: SearchConfig) -> SearchReport:
     return _build_report(cfg, examined, hits, cuts_total, incomplete, elapsed)
 
 
-_BLOCK_ALPHABET = (TwoBlock(1, 1), TwoBlock(1, -1), TwoBlock(-1, 1), TwoBlock(-1, -1))
+def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
+    """Rows of 2k blocks in lexicographic order, each a left half of k
+    blocks followed by a right half; with ``evens`` set, only the rows with
+    that many even blocks."""
+    halves = [
+        (blocks, *_block_masks(blocks))
+        for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k)
+    ]
+    by_count: dict[int, list] = {}
+    for half in halves:
+        by_count.setdefault(half[1].bit_count(), []).append(half)
+    make = BlockSequence._make
+    for left, even, minus in halves:
+        rights = halves if evens is None else by_count.get(evens - even.bit_count(), ())
+        for right, r_even, r_minus in rights:
+            yield make(left + right, even | r_even << k, minus | r_minus << k)
 
 
 def all_block_sequences(length: int) -> Iterator[BlockSequence]:
@@ -536,8 +567,7 @@ def all_block_sequences(length: int) -> Iterator[BlockSequence]:
     order with ++ < +- < -+ < --."""
     if length < 2 or length % 2 != 0:
         raise ValueError("length must be even and at least 2")
-    for combo in itertools.product(_BLOCK_ALPHABET, repeat=length):
-        yield BlockSequence(combo)
+    return _joined_rows(length // 2, None)
 
 
 def enumerate_block_sequences(
@@ -546,24 +576,17 @@ def enumerate_block_sequences(
     """Block sequences of length 2n with exactly n even blocks, in
     lexicographic order, optionally filtered by a predicate.
 
+    The 4^n runs of n blocks are built once, in lexicographic order, with
+    their even and minus masks, and grouped by even count.  Each row joins
+    a left half with every right half whose even count makes n in all, and
+    its masks are the left masks ORed with the right ones shifted by n.  A
+    row compares first on its left half and then on its right half, so
+    walking the left halves in order, and for each the right halves of its
+    group in order, yields the rows in lexicographic order.
+
     n is capped at 6 to keep the 4^(2n) space at desk scale.
     """
     if not 1 <= n <= 6:
         raise ValueError(f"n must be between 1 and 6, got {n}")
-    length = 2 * n
-
-    def walk(prefix: tuple[TwoBlock, ...], evens: int) -> Iterator[BlockSequence]:
-        pos = len(prefix)
-        if pos == length:
-            bs = BlockSequence(prefix)
-            if predicate is None or predicate(bs):
-                yield bs
-            return
-        remaining = length - pos - 1
-        for block in _BLOCK_ALPHABET:
-            count = evens + block.is_even
-            if count > n or count + remaining < n:
-                continue
-            yield from walk(prefix + (block,), count)
-
-    yield from walk((), 0)
+    rows = _joined_rows(n, n)
+    return rows if predicate is None else filter(predicate, rows)

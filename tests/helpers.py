@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from circhad.blockform import BlockSequence, SymBlockMatrix, block_product
+from circhad.blockform import BlockSequence, SymBlockMatrix, TwoBlock, block_product
 
 
 def dense_circulant(text: str) -> np.ndarray:
@@ -161,3 +161,29 @@ def reference_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
         if a.is_even and b.is_even:
             total = total + block_product(a, b)
     return total
+
+
+# the block order ++ < +- < -+ < --, written out again so that a change to
+# the library's alphabet shows up as a mismatch
+REFERENCE_BLOCK_ALPHABET = tuple(TwoBlock.from_text(t) for t in ("++", "+-", "-+", "--"))
+
+
+def reference_block_sequences(length: int, evens: int | None = None):
+    """Block sequences of the given length in lexicographic order, walked
+    the direct way: one block appended per level of the recursion, and each
+    finished row built by the validating BlockSequence constructor.  With
+    ``evens`` set, only the rows with that many even blocks."""
+
+    def walk(prefix, count):
+        pos = len(prefix)
+        if pos == length:
+            yield BlockSequence(prefix)
+            return
+        remaining = length - pos - 1
+        for block in REFERENCE_BLOCK_ALPHABET:
+            c = count + block.is_even
+            if evens is not None and (c > evens or c + remaining < evens):
+                continue
+            yield from walk(prefix + (block,), c)
+
+    yield from walk((), 0)

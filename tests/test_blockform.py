@@ -9,6 +9,7 @@ from circhad.blockform import (
     Parity,
     SymBlockMatrix,
     TwoBlock,
+    _residual,
     block_decompose,
     block_product,
     cancellation_holds,
@@ -20,7 +21,7 @@ from circhad.blockform import (
 from circhad.searcher import all_block_sequences
 from circhad.seqcore import SignSequence, paf
 
-from helpers import random_sign_text, reference_residual
+from helpers import all_sign_texts, random_sign_text, reference_residual
 
 COUNTEREXAMPLE_BLOCKS = "++,+-,--,+-,--,+-"
 
@@ -111,6 +112,16 @@ class TestDecompose:
             L = 4 * rng.randrange(1, 17)
             h = seq(random_sign_text(rng, L))
             assert recompose(block_decompose(h)) == h
+
+    def test_masks_match_validating_constructor(self):
+        # the masks come from the packed bits, not from the blocks
+        rng = random.Random(31)
+        texts = [t for L in (4, 8, 12) for t in all_sign_texts(L)]
+        texts += [random_sign_text(rng, 4 * rng.randrange(4, 26)) for _ in range(200)]
+        for text in texts:
+            bs = block_decompose(seq(text))
+            checked = BlockSequence(bs.blocks)
+            assert (bs._even, bs._minus) == (checked._even, checked._minus), text
 
 
 class TestEvenCount:
@@ -228,6 +239,16 @@ def test_residual_matches_reference_and_compression(bs):
         assert residual.diag == residual.offdiag == (paf(h, u) + paf(h, u + half)) // 2
         references.append(reference)
     assert cancellation_holds(bs) == all(r.is_zero for r in references)
+
+
+@given(block_rows())
+def test_residual_sum_over_lags(bs):
+    # with the compression c_d = diag if M_d is even else 0, the residual at
+    # lag u is 2 * paf(c, u), and the paf of c summed over all lags is (sum c)^2
+    c = [b.diag if b.is_even else 0 for b in bs]
+    weight = sum(x * x for x in c)
+    total = sum(_residual(bs, u) for u in range(1, len(bs)))
+    assert total == 2 * (sum(c) ** 2 - weight)
 
 
 class TestSymmetricEven:

@@ -1,10 +1,17 @@
 import concurrent.futures
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from circhad.blockform import block_decompose, cancellation_holds, even_count, is_symmetric_even
+from circhad.blockform import (
+    BlockSequence,
+    block_decompose,
+    cancellation_holds,
+    even_count,
+    is_symmetric_even,
+)
 from circhad.matchchase import counterexample
 from circhad.searcher import (
     ALL_PRUNES,
@@ -18,7 +25,13 @@ from circhad.searcher import (
 )
 from circhad.seqcore import SignSequence, is_circulant_hadamard
 
-from helpers import all_sign_texts, dense_hadamard_ok, reference_residual, reference_search
+from helpers import (
+    all_sign_texts,
+    dense_hadamard_ok,
+    reference_block_sequences,
+    reference_residual,
+    reference_search,
+)
 
 PAF = frozenset({"prefix-paf"})
 ROWSUM = frozenset({"row-sum"})
@@ -245,6 +258,27 @@ class TestBudgetAndLedger:
         with pytest.raises(ValueError):
             search(SearchConfig(order=16, prunes=frozenset(), ledger_path=ledger))
 
+    @pytest.mark.parametrize("prunes", [PAF, ALL_PRUNES], ids=["paf", "both"])
+    def test_torn_final_record_is_dropped_and_rerun(self, tmp_path, prunes):
+        ledger = tmp_path / "shards.ledger"
+        whole = search(SearchConfig(order=16, prunes=prunes, ledger_path=ledger))
+        recorded = ledger.read_bytes()
+        final = recorded.rstrip(b"\n").rfind(b"\n") + 1
+        # every cut from "final record lost" to "only its newline lost",
+        # through cuts inside a counter's digits that still parse
+        for cut in range(final, len(recorded)):
+            ledger.write_bytes(recorded[:cut])
+            resumed = search(SearchConfig(order=16, prunes=prunes, ledger_path=ledger))
+            assert resumed.canonical_json() == whole.canonical_json(), recorded[final:cut]
+            assert ledger.read_bytes() == recorded, recorded[final:cut]
+
+    def test_unterminated_foreign_file_refused_untouched(self, tmp_path):
+        ledger = tmp_path / "notes.txt"
+        ledger.write_bytes(b"not a ledger")
+        with pytest.raises(ValueError, match="does not match"):
+            search(SearchConfig(order=16, ledger_path=ledger))
+        assert ledger.read_bytes() == b"not a ledger"
+
 
     @pytest.mark.parametrize(
         "record",
@@ -301,6 +335,22 @@ class TestBlockEnumeration:
         assert filtered == expected
         assert len(filtered) == count
 
+    def test_cancellation_census_empty_at_n5(self):
+        # eq. (1) with n even blocks forces (sum of the compression)^2 = n
+        assert list(enumerate_block_sequences(5, cancellation_holds)) == []
+
+    def test_cancellation_census_facts_at_n4(self):
+        rows = list(enumerate_block_sequences(4, cancellation_holds))
+        assert len(rows) == 768
+        # the chase premise, an even block without an even partner half a
+        # turn away, never holds on an order-16 row that satisfies eq. (1)
+        assert all(is_symmetric_even(bs, i) for bs in rows for i in bs.even_indices())
+        # 48 compressions c_d = diag if even else 0, each lifted by the 2^4
+        # sign choices of the odd blocks
+        compressions = Counter(tuple(b.diag if b.is_even else 0 for b in bs) for bs in rows)
+        assert len(compressions) == 48
+        assert set(compressions.values()) == {16}
+
     def test_counterexample_reachable_at_n3(self):
         def has_unsymmetric_even(bs):
             return any(not is_symmetric_even(bs, i) for i in bs.even_indices())
@@ -314,6 +364,24 @@ class TestBlockEnumeration:
         for bad in (0, 7, -1):
             with pytest.raises(ValueError):
                 list(enumerate_block_sequences(bad))
+
+    @staticmethod
+    def assert_same_rows(rows, reference):
+        """Same rows in the same order, each with the masks that the
+        validating constructor computes."""
+        rows = list(rows)
+        assert rows == list(reference)
+        for bs in rows:
+            checked = BlockSequence(bs.blocks)
+            assert (bs._even, bs._minus) == (checked._even, checked._minus)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference_walk(self, n):
+        self.assert_same_rows(enumerate_block_sequences(n), reference_block_sequences(2 * n, n))
+
+    @pytest.mark.parametrize("length", [2, 4, 6, 8])
+    def test_all_block_sequences_match_reference_walk(self, length):
+        self.assert_same_rows(all_block_sequences(length), reference_block_sequences(length))
 
     def test_all_block_sequences(self):
         out = list(all_block_sequences(2))
