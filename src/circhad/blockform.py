@@ -242,17 +242,23 @@ def _normalized_lag(u: int, mod: int) -> int:
     return u
 
 
-def _residual(bs: BlockSequence, u: int) -> int:
-    """The J-coefficient of the even-pair residual at a lag 1 <= u < 2n.
+def _lag_masks(bs: BlockSequence, u: int) -> tuple[int, int]:
+    """(both, flips) at a lag 1 <= u < 2n.
 
-    Rotating a mask right by u puts bit i + u at bit i, so ``both`` marks
-    the even pairs (i, i + u) and ``flips`` the pairs whose diagonal signs
-    differ; each pair adds 2 * d_i * d_{i+u}.
+    Rotating a mask right by u puts bit i + u at bit i, so bit i of
+    ``both`` is set when M_i and M_{i+u} are both even, and of ``flips``
+    when their diagonal signs differ too, i.e. when M_i * M_{i+u} = -2J.
     """
-    mod = len(bs)
+    mod = len(bs._blocks)
     even, minus = bs._even, bs._minus
     both = even & (even >> u | even << (mod - u))
-    flips = both & (minus ^ (minus >> u | minus << (mod - u)))
+    return both, both & (minus ^ (minus >> u | minus << (mod - u)))
+
+
+def _residual(bs: BlockSequence, u: int) -> int:
+    """The J-coefficient of the even-pair residual at a lag 1 <= u < 2n:
+    each even pair adds 2 * d_i * d_{i+u}, +2 unless it flips."""
+    both, flips = _lag_masks(bs, u)
     return 2 * (both.bit_count() - 2 * flips.bit_count())
 
 

@@ -18,6 +18,12 @@ block a is even but not symmetric.  It looks up the pair matched with
 The bundled counterexample() instance has three even blocks, none
 symmetric, and its chase cycles after two steps: a matching walk can
 revisit its starting obligation instead of running out of matchings.
+
+Matchings are read from the block sequence's even/minus bitmasks, as the
+cancellation residual is: rotating the even mask by u marks the even pairs
+at lag u, and two even pairs negate exactly when their four diagonal signs
+hold an odd number of minus signs.  A lag matching and a matching book each
+keep a partner table, so the chase looks partners up instead of scanning.
 """
 
 from __future__ import annotations
@@ -25,9 +31,16 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .blockform import BlockSequence, block_product, is_symmetric_even
+from .blockform import (
+    BlockSequence,
+    _lag_masks,
+    _normalized_lag,
+    block_product,
+    is_symmetric_even,
+)
 
 __all__ = [
     "IndexPair",
@@ -69,6 +82,9 @@ class IndexPair:
         return f"({self.first},{self.second})"
 
 
+# IndexPair is immutable, so find_matching and the chase share instances
+_index_pair = lru_cache(maxsize=1 << 14)(IndexPair)
+
 MatchedPair = tuple[IndexPair, IndexPair]
 
 
@@ -98,13 +114,17 @@ class LagMatching:
             canonical.append((min(p, q), max(p, q)))
         return cls(lag, tuple(sorted(canonical)))
 
-    def partner_of(self, pair: IndexPair) -> IndexPair | None:
+    @cached_property
+    def _partners(self) -> dict[IndexPair, IndexPair]:
+        # setdefault keeps the first occurrence, as a scan of pairs would
+        table: dict[IndexPair, IndexPair] = {}
         for p, q in self.pairs:
-            if pair == p:
-                return q
-            if pair == q:
-                return p
-        return None
+            table.setdefault(p, q)
+            table.setdefault(q, p)
+        return table
+
+    def partner_of(self, pair: IndexPair) -> IndexPair | None:
+        return self._partners.get(pair)
 
     def index_pairs(self) -> tuple[IndexPair, ...]:
         return tuple(x for two in self.pairs for x in two)
@@ -117,17 +137,26 @@ class LagMatching:
 
 
 class MatchingBook:
-    """At most one lag matching per lag, all over one block sequence."""
+    """At most one lag matching per lag, all over one block sequence.
 
-    __slots__ = ("_by_lag",)
+    The partner table maps (lag, first, second) of each matched index pair
+    to its partner, the first occurrence winning within a lag.
+    """
+
+    __slots__ = ("_by_lag", "_partners")
 
     def __init__(self, matchings: Iterable[LagMatching] = ()) -> None:
         by_lag: dict[int, LagMatching] = {}
+        partners: dict[tuple[int, int, int], IndexPair] = {}
         for m in matchings:
             if m.lag in by_lag:
                 raise ValueError(f"duplicate matching for lag {m.lag}")
             by_lag[m.lag] = m
+            for p, q in m.pairs:
+                partners.setdefault((m.lag, p.first, p.second), q)
+                partners.setdefault((m.lag, q.first, q.second), p)
         self._by_lag = by_lag
+        self._partners = partners
 
     def lags(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_lag))
@@ -136,8 +165,7 @@ class MatchingBook:
         return self._by_lag.get(lag)
 
     def partner_of(self, pair: IndexPair, mod: int) -> IndexPair | None:
-        m = self._by_lag.get(pair.lag(mod))
-        return None if m is None else m.partner_of(pair)
+        return self._partners.get((pair.lag(mod), pair.first, pair.second))
 
     def matchings(self) -> tuple[LagMatching, ...]:
         return tuple(self._by_lag[u] for u in sorted(self._by_lag))
@@ -180,31 +208,50 @@ def _pair_violations(bs: BlockSequence, u: int, pair: IndexPair) -> list[str]:
     return problems
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
     """Check every matching invariant against bs; ok means no violations.
 
-    Violations reported: lag zero, indices out of range, lag-inconsistent
-    pairs, odd blocks, products that do not negate, and reused pairs (the
-    last is structurally impossible for LagMatching.of, but guarded anyway).
+    Violations reported: a lag outside 1..2n-1 (lag zero modulo 2n has its
+    own text), indices out of range, lag-inconsistent pairs, odd blocks,
+    products that do not negate, and reused pairs (the last is structurally
+    impossible for LagMatching.of, but guarded anyway).  Two pairs pass
+    when both are at lag u and their four blocks are even; the products
+    then negate when the four minus bits have odd parity.
     """
-    mod = len(bs)
+    mod = len(bs._blocks)
+    u = m.lag
+    if u % mod == 0:
+        return ValidationReport((f"lag {u} is zero modulo {mod}",))
+    if not 0 < u < mod:
+        return ValidationReport((f"lag {u} is outside 1..{mod - 1} for {mod} blocks",))
+    even, minus = bs._even, bs._minus
     violations: list[str] = []
-    u = m.lag % mod
-    if u == 0:
-        return ValidationReport((f"lag {m.lag} is zero modulo {mod}",))
-    seen: set[IndexPair] = set()
+    seen: set[tuple[int, int]] = set()
     for p, q in m.pairs:
-        for member in (p, q):
-            if member in seen:
+        a, b, c, d = p.first, p.second, q.first, q.second
+        for member, key in ((p, (a, b)), (q, (c, d))):
+            if key in seen:
                 violations.append(f"index pair {member} is matched more than once")
-            seen.add(member)
-        bad = _pair_violations(bs, u, p) + _pair_violations(bs, u, q)
-        violations.extend(bad)
-        if bad:
-            continue
-        prod_p = block_product(bs[p.first], bs[p.second])
-        prod_q = block_product(bs[q.first], bs[q.second])
-        if prod_p != -prod_q:
+            seen.add(key)
+        # even has no bit at 2n or above, so an index out of range fails too
+        if not (
+            (b - a) % mod == u and (d - c) % mod == u
+            and even >> a & even >> b & even >> c & even >> d & 1
+        ):
+            violations += _pair_violations(bs, u, p) + _pair_violations(bs, u, q)
+        elif not (minus >> a ^ minus >> b ^ minus >> c ^ minus >> d) & 1:
+            prod_p = block_product(bs[a], bs[b])
+            prod_q = block_product(bs[c], bs[d])
             violations.append(
                 f"{p}~{q}: products {prod_p} and {prod_q} are not negatives"
             )
@@ -213,15 +260,10 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
 
 def even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
     """All index pairs (i, i+u) whose blocks are both even, by first index."""
-    mod = len(bs)
-    u %= mod
-    if u == 0:
-        raise ValueError("lag must be nonzero modulo the block count")
-    return tuple(
-        IndexPair(i, (i + u) % mod)
-        for i in range(mod)
-        if bs[i].is_even and bs[(i + u) % mod].is_even
-    )
+    mod = len(bs._blocks)
+    u = _normalized_lag(u, mod)
+    both, _ = _lag_masks(bs, u)
+    return tuple(_index_pair(i, (i + u) % mod) for i in _bits(both))
 
 
 def find_matching(bs: BlockSequence, u: int) -> LagMatching:
@@ -231,13 +273,20 @@ def find_matching(bs: BlockSequence, u: int) -> LagMatching:
     and a -2J list, each already ordered by first index; pairing them off
     smallest-first gives the matching.  It is perfect exactly when the two
     lists have equal length, i.e. when the cancellation residual vanishes.
+    Pairs from the two lists have different first indices, so no pair
+    repeats and the sorted int pairs are already canonical.
     """
-    plus: list[IndexPair] = []
-    minus: list[IndexPair] = []
-    for pair in even_pairs_at_lag(bs, u):
-        sign = bs[pair.first].diag * bs[pair.second].diag
-        (plus if sign > 0 else minus).append(pair)
-    return LagMatching.of(u % len(bs), zip(plus, minus))
+    mod = len(bs._blocks)
+    u = _normalized_lag(u, mod)
+    both, flips = _lag_masks(bs, u)
+    matched = []
+    for i, j in zip(_bits(both & ~flips), _bits(flips)):
+        p, q = (i, (i + u) % mod), (j, (j + u) % mod)
+        matched.append((p, q) if p < q else (q, p))
+    matched.sort()
+    return LagMatching(
+        u, tuple((_index_pair(*p), _index_pair(*q)) for p, q in matched)
+    )
 
 
 def find_book(bs: BlockSequence) -> MatchingBook:
@@ -296,22 +345,25 @@ def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace
             f"block {start.first} is symmetric; the chase premise needs a "
             "non-symmetric even block"
         )
+    # the first coordinate never changes, so an obligation is its second
+    a, b = start.first, start.second
+    partners = book._partners
     steps: list[ChaseStep] = []
-    seen = {start}
+    seen = {b}
     current = start
     while True:
-        partner = book.partner_of(current, mod)
+        partner = partners.get(((b - a) % mod, a, b))
         if partner is None:
             steps.append(ChaseStep(current, None))
             return ChaseTrace(tuple(steps), ChaseOutcome.MATCHING_UNAVAILABLE)
         steps.append(ChaseStep(current, partner))
-        if partner.second == start.first:
+        b = partner.second
+        if b == a:
             return ChaseTrace(tuple(steps), ChaseOutcome.DEGENERATE)
-        nxt = IndexPair(start.first, partner.second)
-        if nxt in seen:
-            return ChaseTrace(tuple(steps), ChaseOutcome.CYCLE, repeat=nxt)
-        seen.add(nxt)
-        current = nxt
+        if b in seen:
+            return ChaseTrace(tuple(steps), ChaseOutcome.CYCLE, repeat=_index_pair(a, b))
+        seen.add(b)
+        current = _index_pair(a, b)
 
 
 class Counterexample(NamedTuple):

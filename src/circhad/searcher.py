@@ -354,11 +354,14 @@ class _ShardLedger:
     ledger cannot silently be reused across configurations.  A malformed
     record is refused with a ValueError naming the file and the line.
 
-    record() only ever appends whole lines, so a final line without its
-    newline is a write torn by a crash, even where it parses (a counter
-    cut inside its digits does).  It is dropped, and the file is cut back
-    to its last newline so that the next record starts a fresh line; the
-    shard it belonged to runs again.
+    record() only ever appends a shard's whole record, its hit lines and
+    its done line, in one write.  So a final line without its newline is a
+    write torn by a crash, even where it parses (a counter cut inside its
+    digits does), and whole hit lines after the last done line belong to
+    the same torn record.  Both are dropped, and the file is cut back to the
+    end of its last done line (or of the header) so that the next record
+    starts there; the shard they belonged to runs again.  The dropped whole
+    lines are still parsed, so a malformed one is refused.
     """
 
     def __init__(self, path: Path, cfg: SearchConfig) -> None:
@@ -380,8 +383,8 @@ class _ShardLedger:
             raise ValueError(f"ledger {path}: {exc}") from None
         # the header is checked before anything is cut, so a file that is
         # not a ledger of this search is refused untouched
-        self._load(text[: text.rfind("\n") + 1])
-        whole = data.rfind(b"\n") + 1
+        kept = self._load(text[: text.rfind("\n") + 1])
+        whole = len(text[:kept].encode("utf-8"))
         if whole < len(data):
             try:
                 with path.open("r+b") as handle:
@@ -389,14 +392,19 @@ class _ShardLedger:
             except OSError as exc:
                 raise ValueError(f"ledger {path}: {exc.strerror}") from None
 
-    def _load(self, text: str) -> None:
-        lines = text.splitlines()
-        if not lines or lines[0] != self.header:
+    def _load(self, text: str) -> int:
+        """Accept the header and the records of text, whole lines only, and
+        return the length of text up to the end of its last done line."""
+        lines = text.splitlines(keepends=True)
+        if not lines or lines[0].splitlines() != [self.header]:
             raise ValueError(
                 f"ledger {self.path} does not match this search configuration"
             )
+        kept = len(lines[0])
+        end = kept
         pending_hits: dict[str, list[str]] = {}
         for number, line in enumerate(lines[1:], start=2):
+            end += len(line)
             tokens = line.split()
             if not tokens:
                 continue
@@ -411,10 +419,12 @@ class _ShardLedger:
                     self.recorded[prefix] = _ShardResult(
                         prefix, True, examined, cuts, tuple(pending_hits.get(prefix, ()))
                     )
+                    kept = end
                 else:
                     raise ValueError(f"unknown status {status!r}")
             except ValueError as exc:
                 raise ValueError(f"ledger {self.path} line {number}: {exc}") from None
+        return kept
 
     def _parse_hit(self, fields: list[str]) -> str:
         if len(fields) != 1 or len(fields[0]) != self.order or set(fields[0]) - {"+", "-"}:

@@ -13,7 +13,22 @@ import random
 
 import numpy as np
 
-from circhad.blockform import BlockSequence, SymBlockMatrix, TwoBlock, block_product
+from circhad.blockform import (
+    BlockSequence,
+    SymBlockMatrix,
+    TwoBlock,
+    block_product,
+    is_symmetric_even,
+)
+from circhad.matchchase import (
+    ChaseOutcome,
+    ChaseStep,
+    ChaseTrace,
+    IndexPair,
+    LagMatching,
+    MatchingBook,
+    ValidationReport,
+)
 
 
 def dense_circulant(text: str) -> np.ndarray:
@@ -187,3 +202,115 @@ def reference_block_sequences(length: int, evens: int | None = None):
             yield from walk(prefix + (block,), c)
 
     yield from walk((), 0)
+
+
+def _reference_pair_violations(bs: BlockSequence, u: int, pair: IndexPair) -> list[str]:
+    mod = len(bs)
+    problems = []
+    if pair.first >= mod or pair.second >= mod:
+        problems.append(f"{pair}: index out of range for {mod} blocks")
+        return problems
+    if pair.lag(mod) != u:
+        problems.append(f"{pair}: lag is {pair.lag(mod)}, matching is for lag {u}")
+    if not bs[pair.first].is_even:
+        problems.append(f"{pair}: block {pair.first} is odd")
+    if not bs[pair.second].is_even:
+        problems.append(f"{pair}: block {pair.second} is odd")
+    return problems
+
+
+def reference_validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
+    """validate_matching the direct way: each pair's blocks looked up as
+    TwoBlock objects, and the two block products compared as matrices.  A
+    lag must lie in 1..2n-1; a lag that is zero modulo 2n has its own text."""
+    mod = len(bs)
+    violations: list[str] = []
+    if m.lag % mod == 0:
+        return ValidationReport((f"lag {m.lag} is zero modulo {mod}",))
+    if not 1 <= m.lag <= mod - 1:
+        return ValidationReport((f"lag {m.lag} is outside 1..{mod - 1} for {mod} blocks",))
+    u = m.lag
+    seen: set[IndexPair] = set()
+    for p, q in m.pairs:
+        for member in (p, q):
+            if member in seen:
+                violations.append(f"index pair {member} is matched more than once")
+            seen.add(member)
+        bad = _reference_pair_violations(bs, u, p) + _reference_pair_violations(bs, u, q)
+        violations.extend(bad)
+        if bad:
+            continue
+        prod_p = block_product(bs[p.first], bs[p.second])
+        prod_q = block_product(bs[q.first], bs[q.second])
+        if prod_p != -prod_q:
+            violations.append(
+                f"{p}~{q}: products {prod_p} and {prod_q} are not negatives"
+            )
+    return ValidationReport(tuple(violations))
+
+
+def reference_even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
+    mod = len(bs)
+    u %= mod
+    if u == 0:
+        raise ValueError("lag must be nonzero modulo the block count")
+    return tuple(
+        IndexPair(i, (i + u) % mod)
+        for i in range(mod)
+        if bs[i].is_even and bs[(i + u) % mod].is_even
+    )
+
+
+def reference_find_matching(bs: BlockSequence, u: int) -> LagMatching:
+    """find_matching the direct way: the even pairs at lag u split by the
+    sign of d_i * d_{i+u} into a plus and a minus list, paired off in
+    order, and canonicalized by LagMatching.of."""
+    plus: list[IndexPair] = []
+    minus: list[IndexPair] = []
+    for pair in reference_even_pairs_at_lag(bs, u):
+        sign = bs[pair.first].diag * bs[pair.second].diag
+        (plus if sign > 0 else minus).append(pair)
+    return LagMatching.of(u % len(bs), zip(plus, minus))
+
+
+def _reference_partner(book: MatchingBook, pair: IndexPair, mod: int) -> IndexPair | None:
+    # a linear scan of the matching at the pair's lag, first occurrence wins
+    m = book.matching_at(pair.lag(mod))
+    for p, q in m.pairs if m is not None else ():
+        if pair == p:
+            return q
+        if pair == q:
+            return p
+    return None
+
+
+def reference_chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace:
+    """chase the direct way: obligations kept as IndexPair objects in the
+    seen set, and each partner found by scanning the book's matching."""
+    mod = len(bs)
+    if start.first >= mod or start.second >= mod:
+        raise ValueError(f"start {start} out of range for {mod} blocks")
+    for idx in (start.first, start.second):
+        if not bs[idx].is_even:
+            raise ValueError(f"start {start} touches odd block {idx}")
+    if is_symmetric_even(bs, start.first):
+        raise ValueError(
+            f"block {start.first} is symmetric; the chase premise needs a "
+            "non-symmetric even block"
+        )
+    steps: list[ChaseStep] = []
+    seen = {start}
+    current = start
+    while True:
+        partner = _reference_partner(book, current, mod)
+        if partner is None:
+            steps.append(ChaseStep(current, None))
+            return ChaseTrace(tuple(steps), ChaseOutcome.MATCHING_UNAVAILABLE)
+        steps.append(ChaseStep(current, partner))
+        if partner.second == start.first:
+            return ChaseTrace(tuple(steps), ChaseOutcome.DEGENERATE)
+        nxt = IndexPair(start.first, partner.second)
+        if nxt in seen:
+            return ChaseTrace(tuple(steps), ChaseOutcome.CYCLE, repeat=nxt)
+        seen.add(nxt)
+        current = nxt

@@ -162,7 +162,46 @@ class TestMatch:
         assert doc["result"]["violations"]
 
 
+    @pytest.mark.parametrize(
+        "text", ["u=8: (0,2)~(2,4)\n", "u=2: (0,2)~(2,4)\nu=8: (0,2)~(2,4)\n"]
+    )
+    def test_unreduced_lag_invalid(self, capsys, tmp_path, text):
+        # lag 8 is lag 2 modulo 6 blocks, but no lookup ever reads lag 8
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(text)
+        code, out, _ = run(
+            capsys, "match", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings)
+        )
+        assert code == 1
+        assert "  lag 8: lag 8 is outside 1..5 for 6 blocks\nvalid : no" in out
+        code, doc, _ = run_json(
+            capsys, "match", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings)
+        )
+        assert code == 1
+        assert doc["result"]["violations"] == ["lag 8: lag 8 is outside 1..5 for 6 blocks"]
+        assert doc["result"]["valid"] is False
+
+
 class TestChase:
+    def test_unreduced_lag_exit_two(self, capsys, tmp_path):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text("u=2: (0,2)~(2,4)\nu=8: (0,4)~(4,2)\n")
+        code, out, err = run(
+            capsys,
+            "chase",
+            COUNTEREXAMPLE_BLOCKS,
+            "--matchings",
+            str(matchings),
+            "--start",
+            "0,2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {matchings}: invalid matchings\n"
+            "lag 8: lag 8 is outside 1..5 for 6 blocks\n"
+        )
+
     def test_counterexample_inputs(self, capsys, tmp_path):
         matchings = tmp_path / "m.txt"
         matchings.write_text("u=2: (0,2)~(2,4)\nu=4: (0,4)~(4,2)\n")

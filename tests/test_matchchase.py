@@ -1,8 +1,15 @@
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, strategies as st
 
-from circhad.blockform import BlockSequence, cancellation_residual, is_symmetric_even
+from circhad.blockform import (
+    BlockSequence,
+    TwoBlock,
+    cancellation_residual,
+    is_symmetric_even,
+)
 from circhad.matchchase import (
     ChaseOutcome,
     ChaseStep,
@@ -20,7 +27,13 @@ from circhad.matchchase import (
 )
 from circhad.searcher import all_block_sequences
 
-from helpers import random_sign_text
+from helpers import (
+    random_sign_text,
+    reference_chase,
+    reference_even_pairs_at_lag,
+    reference_find_matching,
+    reference_validate_matching,
+)
 
 
 def blocks(text):
@@ -116,6 +129,16 @@ class TestValidateMatching:
         bs, _, _ = counterexample()
         assert not validate_matching(bs, LagMatching.of(6, [])).ok
 
+    @pytest.mark.parametrize("lag", [8, 7, 13, -4])
+    def test_unreduced_lag_rejected(self, lag):
+        # lag 8 would be read as lag 2, but the chase only ever looks up
+        # lags 1..2n-1, so the matching would never be used
+        bs, _, _ = counterexample()
+        bad = LagMatching.of(lag, [(pair(0, 2), pair(2, 4))])
+        assert validate_matching(bs, bad).violations == (
+            f"lag {lag} is outside 1..5 for 6 blocks",
+        )
+
 
 class TestFindMatching:
     def test_counterexample_lag_two(self):
@@ -165,6 +188,134 @@ class TestFindMatching:
             bs = random_blocks(rng, length)
             u = rng.randrange(1, length)
             assert validate_matching(bs, find_matching(bs, u)).ok
+
+
+class TestReferenceEquivalence:
+    """The mask-based functions against the object-based oracles."""
+
+    @pytest.mark.parametrize("length", [2, 4, 6])
+    def test_find_matching_exhaustive_small(self, length):
+        for bs in all_block_sequences(length):
+            for u in range(1, length):
+                assert find_matching(bs, u) == reference_find_matching(bs, u), (bs.text, u)
+                assert even_pairs_at_lag(bs, u) == reference_even_pairs_at_lag(bs, u)
+
+    @pytest.mark.parametrize(
+        "name, lag, pairs",
+        [
+            ("out of range", 2, [((6, 8), (0, 2)), ((0, 2), (4, 6))]),
+            ("wrong lag", 2, [((0, 4), (2, 4)), ((4, 0), (2, 0))]),
+            ("odd block", 2, [((1, 3), (3, 5)), ((0, 2), (5, 1))]),
+            ("not negating", 2, [((0, 2), (4, 0))]),
+            ("reused pair", 2, [((0, 2), (2, 4)), ((2, 4), (4, 0)), ((0, 2), (0, 2))]),
+            ("lag zero", 0, [((0, 2), (2, 4))]),
+            ("lag 2n", 6, []),
+            ("unreduced lag", 8, [((0, 2), (2, 4))]),
+            ("negative lag", -4, [((0, 2), (2, 4))]),
+        ],
+    )
+    def test_bad_matching_violations_identical(self, name, lag, pairs):
+        bs, _, _ = counterexample()
+        # built directly, so that a reused pair gets past LagMatching.of
+        m = LagMatching(lag, tuple((pair(*p), pair(*q)) for p, q in pairs))
+        verdict = validate_matching(bs, m)
+        assert not verdict.ok
+        assert verdict == reference_validate_matching(bs, m)
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            # (0,2) first as the left member, then again on the left
+            ([((0, 2), (2, 4)), ((0, 2), (4, 0))], {(0, 2): (2, 4), (4, 0): (0, 2)}),
+            # (2,4) first as the right member, then on the right
+            ([((0, 2), (2, 4)), ((4, 0), (2, 4))], {(2, 4): (0, 2), (4, 0): (2, 4)}),
+            # (2,4) first as the right member, then on the left
+            ([((0, 2), (2, 4)), ((2, 4), (4, 0))], {(2, 4): (0, 2), (4, 0): (2, 4)}),
+        ],
+    )
+    def test_partner_first_occurrence_wins(self, pairs, expected):
+        # built directly, so that a reused pair gets past LagMatching.of
+        m = LagMatching(2, tuple((pair(*p), pair(*q)) for p, q in pairs))
+        book = MatchingBook([m])
+        for p, q in expected.items():
+            assert m.partner_of(pair(*p)) == pair(*q)
+            assert book.partner_of(pair(*p), 6) == pair(*q)
+        assert m.partner_of(pair(1, 3)) is None
+        assert book.partner_of(pair(1, 3), 6) is None
+
+    def test_partner_table_is_not_a_field(self):
+        m = LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
+        assert m.partner_of(pair(0, 2)) == pair(2, 4)
+        assert m == LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
+        assert asdict(m) == {"lag": 2, "pairs": (({"first": 0, "second": 2}, {"first": 2, "second": 4}),)}
+
+
+ALL_BLOCKS = tuple(TwoBlock.from_text(t) for t in ("++", "+-", "-+", "--"))
+
+
+@st.composite
+def block_rows(draw):
+    length = 2 * draw(st.integers(1, 25))
+    return BlockSequence(draw(st.lists(st.sampled_from(ALL_BLOCKS), min_size=length, max_size=length)))
+
+
+@given(block_rows())
+def test_matching_book_and_chase_match_reference(bs):
+    mod = len(bs)
+    found = []
+    for u in range(1, mod):
+        m = find_matching(bs, u)
+        assert m == reference_find_matching(bs, u)
+        assert even_pairs_at_lag(bs, u) == reference_even_pairs_at_lag(bs, u)
+        assert validate_matching(bs, m) == reference_validate_matching(bs, m)
+        found.append(m)
+    book = find_book(bs)
+    assert book == MatchingBook(m for m in found if m.pairs)
+    evens = bs.even_indices()
+    for a in evens:
+        if is_symmetric_even(bs, a):
+            continue
+        for b in evens:
+            if b != a:
+                start = pair(a, b)
+                assert chase(bs, book, start) == reference_chase(bs, book, start)
+
+
+@st.composite
+def arbitrary_matchings(draw):
+    bs = draw(block_rows())
+    mod = len(bs)
+    # mostly lags in range and pairs at the lag, so the later checks are reached
+    lag = draw(st.one_of(st.integers(1, mod - 1), st.integers(-1, 2 * mod)))
+    index = st.integers(0, mod + 1)
+    at_lag = index.map(lambda i: (i, (i + lag) % mod))
+    index_pairs = (
+        st.one_of(at_lag, at_lag, st.tuples(index, index))
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: pair(*t))
+    )
+    pairs = draw(st.lists(st.tuples(index_pairs, index_pairs), min_size=1, max_size=6))
+    return bs, LagMatching(lag, tuple(pairs))
+
+
+@given(arbitrary_matchings())
+def test_validate_arbitrary_matching_matches_reference(case):
+    bs, m = case
+    assert validate_matching(bs, m) == reference_validate_matching(bs, m)
+
+
+@given(arbitrary_matchings())
+def test_chase_on_arbitrary_book_matches_reference(case):
+    # an unvalidated book: pairs at any lag, some repeated or out of range
+    bs, m = case
+    book = MatchingBook([m, LagMatching(m.lag + 1, m.pairs)])
+    evens = bs.even_indices()
+    for a in evens:
+        if is_symmetric_even(bs, a):
+            continue
+        for b in evens:
+            if b != a:
+                assert chase(bs, book, pair(a, b)) == reference_chase(bs, book, pair(a, b))
 
 
 class TestChase:

@@ -272,6 +272,35 @@ class TestBudgetAndLedger:
             assert resumed.canonical_json() == whole.canonical_json(), recorded[final:cut]
             assert ledger.read_bytes() == recorded, recorded[final:cut]
 
+    def test_torn_hit_bearing_record_is_not_repeated(self, tmp_path):
+        # order 4 has hits, so cuts fall inside a record's hit lines and
+        # between them and its done line; the rerun must not repeat them
+        ledger = tmp_path / "hits.ledger"
+        whole = search(SearchConfig(order=4, ledger_path=ledger))
+        recorded = ledger.read_bytes()
+        assert b" hit " in recorded
+        header = recorded.index(b"\n") + 1
+        for cut in range(len(recorded)):
+            ledger.write_bytes(recorded[:cut])
+            if cut < header:
+                # a torn header is not a ledger of this search
+                with pytest.raises(ValueError, match="does not match"):
+                    search(SearchConfig(order=4, ledger_path=ledger))
+                assert ledger.read_bytes() == recorded[:cut]
+                continue
+            resumed = search(SearchConfig(order=4, ledger_path=ledger))
+            assert resumed.canonical_json() == whole.canonical_json(), cut
+            assert ledger.read_bytes() == recorded, recorded[header:cut]
+
+    def test_malformed_hit_after_last_done_refused(self, tmp_path):
+        ledger = tmp_path / "hits.ledger"
+        search(SearchConfig(order=4, ledger_path=ledger))
+        recorded = ledger.read_bytes()
+        ledger.write_bytes(recorded + b"+--- hit +-\n+--- done")
+        lines = recorded.count(b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"ledger {ledger} line {lines + 1}: ")):
+            search(SearchConfig(order=4, ledger_path=ledger))
+
     def test_unterminated_foreign_file_refused_untouched(self, tmp_path):
         ledger = tmp_path / "notes.txt"
         ledger.write_bytes(b"not a ledger")
