@@ -5,12 +5,11 @@ The library splits into four layers plus a command line frontend:
 * seqcore: sign sequences, periodic autocorrelation, the circulant
   Hadamard predicate.
 * blockform: 2-blocks, the block view of a circulant of order 4n, parity
-  counting, and the even-pair cancellation residual.
+  counting, the even-pair cancellation residual, and block-row enumeration.
 * matchchase: product-negating matchings at a fixed lag, matching books,
   and the obligation chase, including a bundled instance whose chase
   cycles.
-* searcher: pruned, shardable exhaustive search over sign sequences plus
-  block-sequence enumeration.
+* searcher: pruned, shardable exhaustive search over sign sequences.
 """
 
 from .seqcore import (

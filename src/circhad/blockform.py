@@ -13,18 +13,21 @@ and commute with each other, so every quantity here is an exact integer.
 The product of two even blocks is 2 * d_i * d_j * J, where d is the
 block's diagonal sign and J the all-ones 2x2 matrix, so the even-pair
 cancellation residual at lag u is 2 * sum(d_i * d_{i+u}) * J over the i
-where M_i and M_{i+u} are both even.  A block sequence keeps two bitmasks,
-its even blocks and its even blocks with d = -1, and the residual's
-coefficient is two popcounts of those masks rotated by u.
+where M_i and M_{i+u} are both even.  That is 2 * paf(c, u) * J for the
+compression c_d = (h[d] + h[d+2n]) / 2, the diagonal sign of an even M_d
+and 0 for an odd one.  A block sequence is stored as its packed sign row
+h; BlockSequence._compression derives c from it as two masks, and the
+ternary paf kernel in seqcore computes the residual from those.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .seqcore import SignSequence
+from .seqcore import SignSequence, _paf_vanishes, _set_bits, _ternary_paf
 
 __all__ = [
     "Parity",
@@ -38,6 +41,8 @@ __all__ = [
     "cancellation_residual",
     "cancellation_holds",
     "is_symmetric_even",
+    "all_block_sequences",
+    "enumerate_block_sequences",
 ]
 
 _SIGNS = (1, -1)
@@ -80,10 +85,6 @@ class TwoBlock:
             raise ValueError(f"invalid 2-block text {text!r}; expected two of '+'/'-'")
         return cls(1 if text[0] == "+" else -1, 1 if text[1] == "+" else -1)
 
-    def sort_key(self) -> tuple[int, int]:
-        # lexicographic with + before -: ++ < +- < -+ < --
-        return (self.diag == -1, self.offdiag == -1)
-
     def __str__(self) -> str:
         return self.text
 
@@ -118,22 +119,19 @@ class SymBlockMatrix:
         return f"[[{self.diag}, {self.offdiag}], [{self.offdiag}, {self.diag}]]"
 
 
-def _block_masks(blocks: Iterable[TwoBlock]) -> tuple[int, int]:
-    """(even, minus): bit i of even is set when block i is even, and of
-    minus when block i is even with diag -1."""
-    even = minus = 0
-    for i, b in enumerate(blocks):
-        if b.is_even:
-            even |= 1 << i
-            if b.diag < 0:
-                minus |= 1 << i
-    return even, minus
+def _packed(blocks: tuple[TwoBlock, ...]) -> int:
+    """The packed sign row of blocks: the diagonals, then the off-diagonals."""
+    return SignSequence([b.diag for b in blocks] + [b.offdiag for b in blocks]).bits
 
 
 class BlockSequence:
-    """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n."""
+    """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n.
 
-    __slots__ = ("_blocks", "_even", "_minus")
+    Stored as its packed sign row of order 4n: bit d is block d's diagonal
+    and bit d + 2n its off-diagonal, set for -1.
+    """
+
+    __slots__ = ("_count", "_bits", "_even", "_minus")
 
     def __init__(self, blocks: Iterable[TwoBlock]) -> None:
         items = tuple(blocks)
@@ -141,18 +139,29 @@ class BlockSequence:
             raise ValueError("a block sequence needs an even number of blocks, at least 2")
         if not all(isinstance(b, TwoBlock) for b in items):
             raise ValueError("block sequence entries must be TwoBlock values")
-        self._blocks = items
-        self._even, self._minus = _block_masks(items)
+        self._count = len(items)
+        self._bits = _packed(items)
+        self._even, self._minus = self._compression(self._count, self._bits)
 
     @classmethod
-    def _make(cls, blocks: tuple[TwoBlock, ...], even: int, minus: int) -> "BlockSequence":
-        """Trusted constructor: the caller guarantees an even number (at
-        least 2) of TwoBlock values and the masks that __init__ would compute."""
+    def _make(cls, count: int, bits: int) -> "BlockSequence":
+        """Trusted constructor: the caller guarantees an even count of at
+        least 2 and a packed row of 2 * count bits."""
         bs = cls.__new__(cls)
-        bs._blocks = blocks
-        bs._even = even
-        bs._minus = minus
+        bs._count = count
+        bs._bits = bits
+        bs._even, bs._minus = cls._compression(count, bits)
         return bs
+
+    @staticmethod
+    def _compression(count: int, bits: int) -> tuple[int, int]:
+        """(even, minus) of the row of count blocks packed in bits: a block
+        is even where its diagonal bit (``low``) and off-diagonal bit agree,
+        and in minus too where ``low`` is set, i.e. c_d != 0 and c_d = -1."""
+        mask = (1 << count) - 1
+        low = bits & mask
+        even = ~(low ^ bits >> count) & mask
+        return even, even & low
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSequence":
@@ -161,39 +170,40 @@ class BlockSequence:
 
     @property
     def blocks(self) -> tuple[TwoBlock, ...]:
-        return self._blocks
+        return tuple(self)
 
     @property
     def n(self) -> int:
         """Half the block count: a sequence of 2n blocks has n = len // 2."""
-        return len(self._blocks) // 2
+        return self._count // 2
 
     @property
     def text(self) -> str:
-        return ",".join(b.text for b in self._blocks)
+        return ",".join(b.text for b in self)
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return self._count
 
     def __getitem__(self, i: int) -> TwoBlock:
-        return self._blocks[i % len(self._blocks)]
+        i %= self._count
+        return _BLOCK_ALPHABET[(self._bits >> i & 1) << 1 | self._bits >> (i + self._count) & 1]
 
     def __iter__(self) -> Iterator[TwoBlock]:
-        return iter(self._blocks)
+        return map(self.__getitem__, range(self._count))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockSequence):
             return NotImplemented
-        return self._blocks == other._blocks
+        return self._count == other._count and self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash(self._blocks)
+        return hash((self._count, self._bits))
 
     def __repr__(self) -> str:
         return f"BlockSequence.from_text({self.text!r})"
 
     def even_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self._blocks)) if self._even >> i & 1)
+        return tuple(_set_bits(self._even))
 
 
 def block_decompose(h: SignSequence) -> BlockSequence:
@@ -201,26 +211,17 @@ def block_decompose(h: SignSequence) -> BlockSequence:
 
     Block d carries h[d] on the diagonal and h[d + 2n] off it, which is the
     cell content produced by the half-shift row/column pairing described in
-    the module docstring.  In the packed form, ``low`` holds the diagonal
-    signs and ``high`` the off-diagonal ones (bit set for -1): a block is
-    even where the two bits agree, and has diag -1 where ``low`` is set.
+    the module docstring, so the block row keeps h's packed bits as they are.
     """
     L = len(h)
     if L % 4 != 0:
         raise ValueError(f"sequence length {L} is not divisible by 4")
-    half = L // 2
-    mask = (1 << half) - 1
-    low, high = h.bits & mask, h.bits >> half
-    blocks = tuple(
-        _BLOCK_ALPHABET[(low >> d & 1) << 1 | high >> d & 1] for d in range(half)
-    )
-    even = ~(low ^ high) & mask
-    return BlockSequence._make(blocks, even, even & low)
+    return BlockSequence._make(L // 2, h.bits)
 
 
 def recompose(bs: BlockSequence) -> SignSequence:
     """Inverse of block_decompose: h[d] = M_d.diag, h[d + 2n] = M_d.offdiag."""
-    return SignSequence([b.diag for b in bs] + [b.offdiag for b in bs])
+    return SignSequence._make(2 * bs._count, bs._bits)
 
 
 def even_count(bs: BlockSequence) -> int:
@@ -242,24 +243,10 @@ def _normalized_lag(u: int, mod: int) -> int:
     return u
 
 
-def _lag_masks(bs: BlockSequence, u: int) -> tuple[int, int]:
-    """(both, flips) at a lag 1 <= u < 2n.
-
-    Rotating a mask right by u puts bit i + u at bit i, so bit i of
-    ``both`` is set when M_i and M_{i+u} are both even, and of ``flips``
-    when their diagonal signs differ too, i.e. when M_i * M_{i+u} = -2J.
-    """
-    mod = len(bs._blocks)
-    even, minus = bs._even, bs._minus
-    both = even & (even >> u | even << (mod - u))
-    return both, both & (minus ^ (minus >> u | minus << (mod - u)))
-
-
 def _residual(bs: BlockSequence, u: int) -> int:
     """The J-coefficient of the even-pair residual at a lag 1 <= u < 2n:
-    each even pair adds 2 * d_i * d_{i+u}, +2 unless it flips."""
-    both, flips = _lag_masks(bs, u)
-    return 2 * (both.bit_count() - 2 * flips.bit_count())
+    each even pair adds 2 * d_i * d_{i+u}, so it is 2 * paf(c, u)."""
+    return 2 * _ternary_paf(bs._even, bs._minus, u, bs._count)
 
 
 def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
@@ -274,15 +261,9 @@ def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
 
 
 def cancellation_holds(bs: BlockSequence) -> bool:
-    """True when the even-pair product sum vanishes at every nonzero lag.
-
-    The pairs at lag u are the pairs at lag 2n - u read the other way
-    round, so lags 1..n cover every lag.
-    """
-    for u in range(1, bs.n + 1):
-        if _residual(bs, u):
-            return False
-    return True
+    """True when the even-pair product sum vanishes at every nonzero lag,
+    i.e. when the compression has zero periodic autocorrelation."""
+    return _paf_vanishes(bs._even, bs._minus, bs._count)
 
 
 def is_symmetric_even(bs: BlockSequence, i: int) -> bool:
@@ -290,8 +271,56 @@ def is_symmetric_even(bs: BlockSequence, i: int) -> bool:
 
     Defined only for even blocks; asking about an odd block is an error.
     """
-    mod = len(bs)
+    mod = bs._count
     i %= mod
-    if not bs[i].is_even:
+    if not bs._even >> i & 1:
         raise ValueError(f"block {i} is odd; symmetry is defined for even blocks only")
-    return bs[i + bs.n].is_even
+    return bool(bs._even >> (i + bs.n) % mod & 1)
+
+
+def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
+    """Rows of 2k blocks in lexicographic order; with ``evens`` set, only
+    the rows with that many even blocks.
+
+    The 4^k runs of k blocks are packed once, in lexicographic order, as
+    rows of their own, which gives their even counts, and grouped by even
+    count.  A row joins a left half with every right half whose count makes
+    ``evens``: as a left half a run's off-diagonal bits move up by k, and as
+    a right half all its bits move up by k more.  A row compares first on
+    its left half, then on its right half, so walking the left halves in
+    order, each with its right halves in order, keeps lexicographic order.
+    """
+    mask = (1 << k) - 1
+    halves = []
+    for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k):
+        half = _packed(blocks)
+        count = BlockSequence._compression(k, half)[0].bit_count()
+        halves.append((count, half & mask | (half >> k) << 2 * k))
+    by_count: dict[int, list[tuple[int, int]]] = {}
+    for half in halves:
+        by_count.setdefault(half[0], []).append(half)
+    make = BlockSequence._make
+    for count, left in halves:
+        rights = halves if evens is None else by_count.get(evens - count, ())
+        for _, right in rights:
+            yield make(2 * k, left | right << k)
+
+
+def all_block_sequences(length: int) -> Iterator[BlockSequence]:
+    """Every block sequence of the given even length, in lexicographic
+    order with ++ < +- < -+ < --."""
+    if length < 2 or length % 2 != 0:
+        raise ValueError("length must be even and at least 2")
+    return _joined_rows(length // 2, None)
+
+
+def enumerate_block_sequences(
+    n: int, predicate: Callable[[BlockSequence], bool] | None = None
+) -> Iterator[BlockSequence]:
+    """Block sequences of length 2n with exactly n even blocks, in
+    lexicographic order, optionally filtered by a predicate.  n is capped
+    at 6 to keep the 4^(2n) space at desk scale."""
+    if not 1 <= n <= 6:
+        raise ValueError(f"n must be between 1 and 6, got {n}")
+    rows = _joined_rows(n, n)
+    return rows if predicate is None else filter(predicate, rows)

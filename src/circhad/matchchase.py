@@ -19,11 +19,12 @@ The bundled counterexample() instance has three even blocks, none
 symmetric, and its chase cycles after two steps: a matching walk can
 revisit its starting obligation instead of running out of matchings.
 
-Matchings are read from the block sequence's even/minus bitmasks, as the
-cancellation residual is: rotating the even mask by u marks the even pairs
-at lag u, and two even pairs negate exactly when their four diagonal signs
-hold an odd number of minus signs.  A lag matching and a matching book each
-keep a partner table, so the chase looks partners up instead of scanning.
+Matchings are read from the lag masks of the block sequence's compression
+(seqcore._lag_masks), as the cancellation residual is: ``both`` marks the
+even pairs at lag u and ``flips`` those whose product is -2J, so two even
+pairs negate exactly when one of them flips.  A lag matching and a
+matching book each keep a partner table, so the chase looks partners up
+instead of scanning.
 """
 
 from __future__ import annotations
@@ -34,13 +35,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .blockform import (
-    BlockSequence,
-    _lag_masks,
-    _normalized_lag,
-    block_product,
-    is_symmetric_even,
-)
+from .blockform import BlockSequence, _normalized_lag, block_product, is_symmetric_even
+from .seqcore import _lag_masks, _set_bits
 
 __all__ = [
     "IndexPair",
@@ -208,33 +204,23 @@ def _pair_violations(bs: BlockSequence, u: int, pair: IndexPair) -> list[str]:
     return problems
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
     """Check every matching invariant against bs; ok means no violations.
 
     Violations reported: a lag outside 1..2n-1 (lag zero modulo 2n has its
     own text), indices out of range, lag-inconsistent pairs, odd blocks,
     products that do not negate, and reused pairs (the last is structurally
-    impossible for LagMatching.of, but guarded anyway).  Two pairs pass
-    when both are at lag u and their four blocks are even; the products
-    then negate when the four minus bits have odd parity.
+    impossible for LagMatching.of, but guarded anyway).  A pair (a, b)
+    passes when b = a + u and bit a of the lag masks' ``both`` is set; two
+    passing pairs negate when exactly one of them flips.
     """
-    mod = len(bs._blocks)
+    mod = bs._count
     u = m.lag
     if u % mod == 0:
         return ValidationReport((f"lag {u} is zero modulo {mod}",))
     if not 0 < u < mod:
         return ValidationReport((f"lag {u} is outside 1..{mod - 1} for {mod} blocks",))
-    even, minus = bs._even, bs._minus
+    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
     violations: list[str] = []
     seen: set[tuple[int, int]] = set()
     for p, q in m.pairs:
@@ -243,13 +229,10 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
             if key in seen:
                 violations.append(f"index pair {member} is matched more than once")
             seen.add(key)
-        # even has no bit at 2n or above, so an index out of range fails too
-        if not (
-            (b - a) % mod == u and (d - c) % mod == u
-            and even >> a & even >> b & even >> c & even >> d & 1
-        ):
+        # both has no bit at 2n or above, so an index out of range fails too
+        if not (b == (a + u) % mod and d == (c + u) % mod and both >> a & both >> c & 1):
             violations += _pair_violations(bs, u, p) + _pair_violations(bs, u, q)
-        elif not (minus >> a ^ minus >> b ^ minus >> c ^ minus >> d) & 1:
+        elif not (flips >> a ^ flips >> c) & 1:
             prod_p = block_product(bs[a], bs[b])
             prod_q = block_product(bs[c], bs[d])
             violations.append(
@@ -260,10 +243,10 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
 
 def even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
     """All index pairs (i, i+u) whose blocks are both even, by first index."""
-    mod = len(bs._blocks)
+    mod = bs._count
     u = _normalized_lag(u, mod)
-    both, _ = _lag_masks(bs, u)
-    return tuple(_index_pair(i, (i + u) % mod) for i in _bits(both))
+    both, _ = _lag_masks(bs._even, bs._minus, u, mod)
+    return tuple(_index_pair(i, (i + u) % mod) for i in _set_bits(both))
 
 
 def find_matching(bs: BlockSequence, u: int) -> LagMatching:
@@ -276,11 +259,11 @@ def find_matching(bs: BlockSequence, u: int) -> LagMatching:
     Pairs from the two lists have different first indices, so no pair
     repeats and the sorted int pairs are already canonical.
     """
-    mod = len(bs._blocks)
+    mod = bs._count
     u = _normalized_lag(u, mod)
-    both, flips = _lag_masks(bs, u)
+    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
     matched = []
-    for i, j in zip(_bits(both & ~flips), _bits(flips)):
+    for i, j in zip(_set_bits(both & ~flips), _set_bits(flips)):
         p, q = (i, (i + u) % mod), (j, (j + u) % mod)
         matched.append((p, q) if p < q else (q, p))
     matched.sort()
@@ -334,11 +317,11 @@ def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace
     Obligations live in a finite set with fixed first coordinate, so the
     chase always terminates.
     """
-    mod = len(bs)
+    mod = bs._count
     if start.first >= mod or start.second >= mod:
         raise ValueError(f"start {start} out of range for {mod} blocks")
     for idx in (start.first, start.second):
-        if not bs[idx].is_even:
+        if not bs._even >> idx & 1:
             raise ValueError(f"start {start} touches odd block {idx}")
     if is_symmetric_even(bs, start.first):
         raise ValueError(

@@ -36,11 +36,11 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 from pathlib import Path
-from typing import Callable, Iterator
 
-from .blockform import _BLOCK_ALPHABET, BlockSequence, _block_masks
+# the block-row enumerators live with the block view; re-exported here
+from .blockform import all_block_sequences, enumerate_block_sequences
 from .seqcore import SignSequence, is_circulant_hadamard
 
 __all__ = [
@@ -84,8 +84,9 @@ class SearchConfig:
         if unknown:
             raise ValueError(f"unknown prunes: {sorted(unknown)}")
         object.__setattr__(self, "prunes", frozenset(self.prunes))
-        if self.budget_seconds is not None and self.budget_seconds < 0:
-            raise ValueError("budget_seconds must be nonnegative")
+        # NaN fails every comparison, so it is refused with inf
+        if self.budget_seconds is not None and not 0 <= self.budget_seconds < inf:
+            raise ValueError("budget_seconds must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -331,18 +332,9 @@ def _run_shard(
     return _ShardResult(prefix, not aborted, examined, cuts, tuple(hits))
 
 
-def _negate_text(text: str) -> str:
-    return "".join("-" if ch == "+" else "+" for ch in text)
-
-
-def _rotations(text: str) -> Iterator[str]:
-    for s in range(len(text)):
-        yield text[s:] + text[:s]
-
-
-def _canonical_class(text: str) -> str:
-    orbit = itertools.chain(_rotations(text), _rotations(_negate_text(text)))
-    return min(orbit)
+def _canonical_class(h: SignSequence) -> str:
+    """The least text among the rotations of h and of its negation."""
+    return min(g.rotate(s).text for g in (h, h.negate()) for s in range(len(h)))
 
 
 class _ShardLedger:
@@ -352,7 +344,9 @@ class _ShardLedger:
     then '<prefix> done examined=<n> <prune>=<cuts>...' once the shard has
     been fully traversed.  The header pins order and prune selection so a
     ledger cannot silently be reused across configurations.  A malformed
-    record is refused with a ValueError naming the file and the line.
+    record is refused with a ValueError naming the file and the line; so is
+    a record of a prefix that is not a shard of this search, and a hit
+    outside its shard or failing the predicate.
 
     record() only ever appends a shard's whole record, its hit lines and
     its done line, in one write.  So a final line without its newline is a
@@ -361,21 +355,23 @@ class _ShardLedger:
     the same torn record.  Both are dropped, and the file is cut back to the
     end of its last done line (or of the header) so that the next record
     starts there; the shard they belonged to runs again.  The dropped whole
-    lines are still parsed, so a malformed one is refused.
+    lines are still parsed, so a malformed one is refused.  A strict prefix
+    of the header line, an empty file included, is written afresh.
     """
 
     def __init__(self, path: Path, cfg: SearchConfig) -> None:
         self.path = path
         self.header = _ledger_header(cfg)
         self.order = cfg.order
+        self.prefixes = frozenset(_shard_prefixes(cfg.order))
         self.counter_names = {"examined", *cfg.prunes}
         self.recorded: dict[str, _ShardResult] = {}
+        fresh = self.header + "\n"
         try:
-            if path.exists():
-                data = path.read_bytes()
-                text = data.decode("utf-8")
-            else:
-                path.write_text(self.header + "\n", encoding="utf-8")
+            data = path.read_bytes() if path.exists() else b""
+            text = data.decode("utf-8")
+            if len(text) < len(fresh) and fresh.startswith(text):
+                path.write_text(fresh, encoding="utf-8")
                 return
         except OSError as exc:
             raise ValueError(f"ledger {path}: {exc.strerror}") from None
@@ -412,8 +408,10 @@ class _ShardLedger:
                 if len(tokens) < 2:
                     raise ValueError("shard prefix with no status")
                 prefix, status, fields = tokens[0], tokens[1], tokens[2:]
+                if prefix not in self.prefixes:
+                    raise ValueError(f"{prefix!r} is not a shard prefix of this search")
                 if status == "hit":
-                    pending_hits.setdefault(prefix, []).append(self._parse_hit(fields))
+                    pending_hits.setdefault(prefix, []).append(self._parse_hit(prefix, fields))
                 elif status == "done":
                     examined, cuts = self._parse_done(fields)
                     self.recorded[prefix] = _ShardResult(
@@ -426,10 +424,15 @@ class _ShardLedger:
                 raise ValueError(f"ledger {self.path} line {number}: {exc}") from None
         return kept
 
-    def _parse_hit(self, fields: list[str]) -> str:
+    def _parse_hit(self, prefix: str, fields: list[str]) -> str:
         if len(fields) != 1 or len(fields[0]) != self.order or set(fields[0]) - {"+", "-"}:
             raise ValueError(f"a hit needs one sequence of {self.order} '+'/'-' entries")
-        return fields[0]
+        text = fields[0]
+        if not text.startswith(prefix):
+            raise ValueError(f"hit {text} does not start with its shard prefix {prefix}")
+        if not is_circulant_hadamard(SignSequence.from_text(text)):
+            raise ValueError(f"hit {text} is not a circulant Hadamard row")
+        return text
 
     def _parse_done(self, fields: list[str]) -> tuple[int, dict[str, int]]:
         counters: dict[str, int] = {}
@@ -469,10 +472,11 @@ def _build_report(
     incomplete: bool,
     elapsed: float,
 ) -> SearchReport:
-    solutions = sorted({t for h in hits for t in (h, _negate_text(h))})
+    found = [SignSequence.from_text(text) for text in hits]
+    solutions = sorted({g.text for h in found for g in (h, h.negate())})
     classes = None
     if cfg.canonicalize:
-        classes = tuple(sorted({_canonical_class(t) for t in solutions}))
+        classes = tuple(sorted({_canonical_class(h) for h in found}))
     return SearchReport(
         order=cfg.order,
         prunes=tuple(sorted(cfg.prunes)),
@@ -552,51 +556,3 @@ def search(cfg: SearchConfig) -> SearchReport:
             incomplete = True
     elapsed = time.perf_counter() - started
     return _build_report(cfg, examined, hits, cuts_total, incomplete, elapsed)
-
-
-def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
-    """Rows of 2k blocks in lexicographic order, each a left half of k
-    blocks followed by a right half; with ``evens`` set, only the rows with
-    that many even blocks."""
-    halves = [
-        (blocks, *_block_masks(blocks))
-        for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k)
-    ]
-    by_count: dict[int, list] = {}
-    for half in halves:
-        by_count.setdefault(half[1].bit_count(), []).append(half)
-    make = BlockSequence._make
-    for left, even, minus in halves:
-        rights = halves if evens is None else by_count.get(evens - even.bit_count(), ())
-        for right, r_even, r_minus in rights:
-            yield make(left + right, even | r_even << k, minus | r_minus << k)
-
-
-def all_block_sequences(length: int) -> Iterator[BlockSequence]:
-    """Every block sequence of the given even length, in lexicographic
-    order with ++ < +- < -+ < --."""
-    if length < 2 or length % 2 != 0:
-        raise ValueError("length must be even and at least 2")
-    return _joined_rows(length // 2, None)
-
-
-def enumerate_block_sequences(
-    n: int, predicate: Callable[[BlockSequence], bool] | None = None
-) -> Iterator[BlockSequence]:
-    """Block sequences of length 2n with exactly n even blocks, in
-    lexicographic order, optionally filtered by a predicate.
-
-    The 4^n runs of n blocks are built once, in lexicographic order, with
-    their even and minus masks, and grouped by even count.  Each row joins
-    a left half with every right half whose even count makes n in all, and
-    its masks are the left masks ORed with the right ones shifted by n.  A
-    row compares first on its left half and then on its right half, so
-    walking the left halves in order, and for each the right halves of its
-    group in order, yields the rows in lexicographic order.
-
-    n is capped at 6 to keep the 4^(2n) space at desk scale.
-    """
-    if not 1 <= n <= 6:
-        raise ValueError(f"n must be between 1 and 6, got {n}")
-    rows = _joined_rows(n, n)
-    return rows if predicate is None else filter(predicate, rows)

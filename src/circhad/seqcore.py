@@ -8,6 +8,11 @@ the sequence and the matrix interchangeably.
 Sequences are stored packed, one bit per entry, with bit k set meaning
 entry k is -1.  The packed form is what the exhaustive search operates on.
 All arithmetic is exact integer arithmetic.
+
+The one autocorrelation kernel lives here, _lag_masks and the functions
+below it, on a ternary sequence held as two bitmasks, ``support`` (entry
+nonzero) and ``neg`` (entry -1).  paf and the Hadamard predicate run it
+with all-ones support, blockform on the compression of a block row.
 """
 
 from __future__ import annotations
@@ -120,11 +125,7 @@ class SignSequence:
     def rotate(self, s: int) -> "SignSequence":
         """Cyclic shift: rotate(s)[k] == self[k + s]."""
         L = self._length
-        s %= L
-        if s == 0:
-            return self
-        mask = (1 << L) - 1
-        return SignSequence._make(L, ((self._bits >> s) | (self._bits << (L - s))) & mask)
+        return SignSequence._make(L, _rotated_bits(self._bits, s % L, L) & (1 << L) - 1)
 
     def negate(self) -> "SignSequence":
         mask = (1 << self._length) - 1
@@ -161,8 +162,42 @@ class PafSpectrum:
 
 
 def _rotated_bits(bits: int, u: int, L: int) -> int:
-    mask = (1 << L) - 1
-    return ((bits >> u) | (bits << (L - u))) & mask if u else bits
+    """Bit k of the result is bit (k + u) mod L of bits, for 0 <= u < L; the
+    bits at L and above are left for the caller to mask off."""
+    return bits >> u | bits << (L - u)
+
+
+def _lag_masks(support: int, neg: int, u: int, L: int) -> tuple[int, int]:
+    """(both, flips) at a lag 0 <= u < L: bit k of ``both`` is set when c_k
+    and c_{k+u} are nonzero, and of ``flips`` when also c_k * c_{k+u} = -1.
+    ``neg`` lies within ``support``, whose ``&`` clips the rotations."""
+    both = support & _rotated_bits(support, u, L)
+    return both, both & (neg ^ _rotated_bits(neg, u, L))
+
+
+def _ternary_paf(support: int, neg: int, u: int, L: int) -> int:
+    """sum(c_k * c_{k+u}) over one period, at a lag 0 <= u < L."""
+    both, flips = _lag_masks(support, neg, u, L)
+    return both.bit_count() - 2 * flips.bit_count()
+
+
+def _paf_vanishes(support: int, neg: int, L: int) -> bool:
+    """True when the ternary paf is zero at every nonzero lag; the pairs at
+    lag u are those at lag L - u reversed, so lags 1..L/2 cover them all."""
+    for u in range(1, L // 2 + 1):
+        if _ternary_paf(support, neg, u, L):
+            return False
+    return True
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def paf(h: SignSequence, u: int) -> int:
@@ -171,10 +206,8 @@ def paf(h: SignSequence, u: int) -> int:
     The lag is cyclic, so any integer u is reduced mod len(h); in particular
     negative lags fold to their positive counterparts.
     """
-    L = len(h)
-    u %= L
-    disagreements = (h.bits ^ _rotated_bits(h.bits, u, L)).bit_count()
-    return L - 2 * disagreements
+    L = h._length
+    return _ternary_paf((1 << L) - 1, h._bits, u % L, L)
 
 
 def paf_spectrum(h: SignSequence) -> PafSpectrum:
@@ -190,11 +223,10 @@ def is_circulant_hadamard(h: SignSequence) -> bool:
     are outside the 4n setting and always report False, as does any order
     not divisible by 4.
     """
-    L = len(h)
+    L = h._length
     if L % 4 != 0:
         return False
-    # symmetry paf(u) == paf(L - u) makes lags above L/2 redundant
-    return all(paf(h, u) == 0 for u in range(1, L // 2 + 1))
+    return _paf_vanishes((1 << L) - 1, h._bits, L)
 
 
 def circulant_row(h: SignSequence, r: int) -> SignSequence:

@@ -167,6 +167,13 @@ def reference_search(order: int, prunes) -> tuple[int, dict, tuple]:
     return examined, cuts, tuple(sorted(set(hits + negated)))
 
 
+def reference_ternary_paf(c: list[int], u: int) -> int:
+    """Periodic autocorrelation sum(c[k] * c[k + u]) of an integer list, the
+    lag taken modulo its length; c may hold any integers, e.g. -1, 0, +1."""
+    L = len(c)
+    return sum(c[k] * c[(k + u) % L] for k in range(L))
+
+
 def reference_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
     """The even-pair cancellation residual at lag u the direct way: the sum
     of the 2x2 products M_i * M_{i+u} over the i where both are even."""

@@ -21,7 +21,12 @@ from circhad.blockform import (
 from circhad.searcher import all_block_sequences
 from circhad.seqcore import SignSequence, paf
 
-from helpers import all_sign_texts, random_sign_text, reference_residual
+from helpers import (
+    all_sign_texts,
+    random_sign_text,
+    reference_residual,
+    reference_ternary_paf,
+)
 
 COUNTEREXAMPLE_BLOCKS = "++,+-,--,+-,--,+-"
 
@@ -84,6 +89,37 @@ class TestBlockSequence:
 
     def test_even_indices(self):
         assert blocks(COUNTEREXAMPLE_BLOCKS).even_indices() == (0, 2, 4)
+
+    def test_view_agrees_with_tuple_oracle(self):
+        # a row is stored as its packed sign row; every view of it must read
+        # as the TwoBlock tuple it was built from, by either constructor
+        rng = random.Random(37)
+        oracles = [
+            o for length in (2, 4, 6) for o in itertools.product(ALL_BLOCKS, repeat=length)
+        ]
+        for _ in range(200):
+            length = 2 * rng.randrange(1, 26)
+            oracles.append(tuple(rng.choice(ALL_BLOCKS) for _ in range(length)))
+        for oracle in oracles:
+            count = len(oracle)
+            checked = BlockSequence(oracle)
+            decomposed = block_decompose(
+                SignSequence([b.diag for b in oracle] + [b.offdiag for b in oracle])
+            )
+            for bs in (checked, decomposed):
+                assert bs.blocks == oracle
+                assert tuple(bs) == oracle
+                assert [bs[i] for i in range(-2 * count, 3 * count)] == list(oracle) * 5
+                assert bs.text == ",".join(b.text for b in oracle)
+            assert checked == decomposed
+            assert hash(checked) == hash(decomposed)
+        # == agrees with tuple equality, across lengths too (++,++ and
+        # ++,++,++,++ share their packed bits)
+        short = [o for o in oracles if len(o) <= 4]
+        rows = [BlockSequence(o) for o in short]
+        for a, x in zip(short, rows):
+            for b, y in zip(short, rows):
+                assert (x == y) == (a == b)
 
 
 class TestDecompose:
@@ -249,6 +285,24 @@ def test_residual_sum_over_lags(bs):
     weight = sum(x * x for x in c)
     total = sum(_residual(bs, u) for u in range(1, len(bs)))
     assert total == 2 * (sum(c) ** 2 - weight)
+
+
+@st.composite
+def sign_rows_4n(draw):
+    L = 4 * draw(st.integers(1, 25))
+    return SignSequence.from_bits(L, draw(st.integers(0, (1 << L) - 1)))
+
+
+@given(sign_rows_4n())
+def test_residual_is_twice_the_compression_paf(h):
+    # the compression of a row of order 4n is c_d = (h[d] + h[d + 2n]) / 2,
+    # and the even-pair residual at lag u is 2 * paf(c, u)
+    half = len(h) // 2
+    e = h.entries
+    c = [(e[d] + e[d + half]) // 2 for d in range(half)]
+    bs = block_decompose(h)
+    for u in range(1, half):
+        assert _residual(bs, u) == 2 * reference_ternary_paf(c, u)
 
 
 class TestSymmetricEven:

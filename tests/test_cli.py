@@ -37,10 +37,19 @@ def input_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run_json(capsys, *argv):
     # --format must precede any "--" end-of-options marker
     code, out, err = run(capsys, argv[0], "--format", "json", *argv[1:])
-    return code, json.loads(out), err
+    return code, strict_json(out), err
 
 
 class TestVerify:
@@ -306,6 +315,27 @@ class TestSearchCommand:
         assert code == 1
         assert doc["result"]["incomplete"] is True
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exit_two(self, capsys, budget):
+        code, out, err = run(capsys, "search", "--order", "16", "--budget-seconds", budget)
+        assert code == 2
+        assert out == ""
+        assert "budget_seconds must be finite" in err
+
+    def test_forged_ledger_hit_exit_two(self, capsys, tmp_path):
+        # a hit the predicate rejects must not come back as a solution
+        ledger = tmp_path / "shards.ledger"
+        argv = ("search", "--order", "8", "--prune", "none", "--ledger", str(ledger))
+        assert run(capsys, *argv)[0] == 0
+        lines = ledger.read_text().splitlines()
+        at = lines.index(next(ln for ln in lines if ln.startswith("+++++- done")))
+        lines.insert(at, "+++++- hit ++-+-+--")
+        ledger.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"ledger {ledger} line {at + 1}: " in err
+
     def test_prune_none(self, capsys):
         code, doc, _ = run_json(capsys, "search", "--order", "8", "--prune", "none")
         assert code == 0
@@ -412,7 +442,7 @@ class TestJsonRoundTrip:
     def test_machine_output_reparses_identically(self, capsys, input_dir, argv):
         main([argv[0], "--format", "json", *argv[1:]])
         out = capsys.readouterr().out
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert json.dumps(doc, indent=2, sort_keys=True) == out.strip()
 
 

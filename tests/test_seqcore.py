@@ -3,9 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
 from circhad.seqcore import (
     PafSpectrum,
     SignSequence,
+    _lag_masks,
+    _paf_vanishes,
+    _ternary_paf,
     circulant_matrix,
     circulant_row,
     is_circulant_hadamard,
@@ -13,7 +18,13 @@ from circhad.seqcore import (
     paf_spectrum,
 )
 
-from helpers import all_sign_texts, dense_circulant, dense_hadamard_ok, random_sign_text
+from helpers import (
+    all_sign_texts,
+    dense_circulant,
+    dense_hadamard_ok,
+    random_sign_text,
+    reference_ternary_paf,
+)
 
 
 def seq(text):
@@ -167,3 +178,28 @@ class TestCirculant:
     def test_row_sum(self):
         assert seq("-+++").row_sum() == 2
         assert seq("----").row_sum() == -4
+
+
+@st.composite
+def ternary_masks(draw):
+    """(L, support, neg) with neg within support: a ternary sequence of length L."""
+    L = draw(st.integers(1, 80))
+    support = draw(st.integers(0, (1 << L) - 1))
+    return L, support, draw(st.integers(0, (1 << L) - 1)) & support
+
+
+@given(ternary_masks())
+def test_ternary_kernel_matches_reference(masks):
+    L, support, neg = masks
+    c = [(-1 if neg >> k & 1 else 1) if support >> k & 1 else 0 for k in range(L)]
+    signs = [-1 if neg >> k & 1 else 1 for k in range(L)]
+    h = SignSequence.from_bits(L, neg)
+    for u in range(L):
+        both, flips = _lag_masks(support, neg, u, L)
+        assert both == sum(1 << k for k in range(L) if c[k] and c[(k + u) % L])
+        assert flips == sum(1 << k for k in range(L) if c[k] * c[(k + u) % L] < 0)
+        assert _ternary_paf(support, neg, u, L) == reference_ternary_paf(c, u)
+        # paf is the kernel with all-ones support
+        assert paf(h, u) == reference_ternary_paf(signs, u)
+    vanishes = all(reference_ternary_paf(c, u) == 0 for u in range(1, L))
+    assert _paf_vanishes(support, neg, L) == vanishes
