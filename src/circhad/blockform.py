@@ -153,6 +153,17 @@ class BlockSequence:
         bs._even, bs._minus = cls._compression(count, bits)
         return bs
 
+    @classmethod
+    def _with_masks(cls, count: int, bits: int, even: int, minus: int) -> "BlockSequence":
+        """Trusted constructor for a caller that also has the row's
+        compression, (even, minus) as _compression gives it."""
+        bs = cls.__new__(cls)
+        bs._count = count
+        bs._bits = bits
+        bs._even = even
+        bs._minus = minus
+        return bs
+
     @staticmethod
     def _compression(count: int, bits: int) -> tuple[int, int]:
         """(even, minus) of the row of count blocks packed in bits: a block
@@ -283,27 +294,30 @@ def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
     the rows with that many even blocks.
 
     The 4^k runs of k blocks are packed once, in lexicographic order, as
-    rows of their own, which gives their even counts, and grouped by even
-    count.  A row joins a left half with every right half whose count makes
-    ``evens``: as a left half a run's off-diagonal bits move up by k, and as
-    a right half all its bits move up by k more.  A row compares first on
-    its left half, then on its right half, so walking the left halves in
-    order, each with its right halves in order, keeps lexicographic order.
+    rows of their own with their compression masks, which give their even
+    counts, and grouped by even count.  A row joins a left half with every
+    right half whose count makes ``evens``: as a left half a run's
+    off-diagonal bits move up by k, and as a right half all its bits and
+    both its masks move up by k more.  A row compares first on its left
+    half, then on its right half, so walking the left halves in order, each
+    with its right halves in order, keeps lexicographic order.
     """
     mask = (1 << k) - 1
     halves = []
     for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k):
         half = _packed(blocks)
-        count = BlockSequence._compression(k, half)[0].bit_count()
-        halves.append((count, half & mask | (half >> k) << 2 * k))
-    by_count: dict[int, list[tuple[int, int]]] = {}
+        even, minus = BlockSequence._compression(k, half)
+        halves.append((even.bit_count(), half & mask | (half >> k) << 2 * k, even, minus))
+    by_count: dict[int, list[tuple[int, int, int, int]]] = {}
     for half in halves:
         by_count.setdefault(half[0], []).append(half)
-    make = BlockSequence._make
-    for count, left in halves:
+    make = BlockSequence._with_masks
+    for count, left, left_even, left_minus in halves:
         rights = halves if evens is None else by_count.get(evens - count, ())
-        for _, right in rights:
-            yield make(2 * k, left | right << k)
+        for _, right, right_even, right_minus in rights:
+            yield make(
+                2 * k, left | right << k, left_even | right_even << k, left_minus | right_minus << k
+            )
 
 
 def all_block_sequences(length: int) -> Iterator[BlockSequence]:

@@ -546,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes to run shards in (at most one per shard); the report "
-        "is the same for any count",
+        help="processes to walk shards in, the calling process counted as one "
+        "(at most one per walked shard); the report is the same for any count",
     )
     p.add_argument("--canonical", action="store_true", help="also report orbit representatives")
     p.add_argument("--budget-seconds", type=float, default=None)

@@ -20,17 +20,35 @@ optional prunes cut branches:
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
 on the worker count, so reports are identical however the shards are
-scheduled.  With more than one worker the shards run in a process pool;
-only the parent process writes the ledger.  The shard depth is fixed, not
-derived from the worker count: ledger records are keyed by shard prefix,
-and a cut made while settling a prefix is counted once per shard, so a
-different depth would change both the ledger and the cut counts.  An
-optional append-only ledger file records finished shards (and any
-sequences they found) so an interrupted search can be resumed.
+scheduled.  The shard depth is fixed, not derived from the worker count:
+ledger records are keyed by shard prefix, and a cut made while settling a
+prefix is counted once per shard, so a different depth would change both
+the ledger and the cut counts.  An optional append-only ledger file records
+finished shards (and any sequences they found), in prefix order for any
+worker count, so an interrupted search can be resumed.
+
+Alternation.  For a row h of even order L, let alt(h)_k = (-1)^k h_k.  Each
+product h_k h_{k+u mod L} changes by the same sign (-1)^u, since k and
+k+u mod L differ in parity by u.  So every settled partial sum keeps its
+absolute value: the prefix-paf cut test and the leaf test give the same
+verdict at h and at alt(h), and alt keeps h_0 = +1.  Without row-sum, the
+subtree under shard prefix P is therefore isomorphic to the one under
+alt(P), node for node, with the same leaves, the same cuts and alternated
+hits.  P and alt(P) differ at position 1, so only the shard with '+' there
+is walked and its partner's record is derived from it; the reported counts
+are still those of the full tree.  alt changes the number of -1 entries, so
+a selection with row-sum walks every shard.
+
+With more than one worker, workers - 1 child processes (forked where the
+platform has it) and the calling process itself pull shard indices from one
+queue; each child sends its results back over its own pipe, and only the
+calling process writes the ledger.  A child that dies makes the search
+raise RuntimeError rather than report its shard.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -332,6 +350,103 @@ def _run_shard(
     return _ShardResult(prefix, not aborted, examined, cuts, tuple(hits))
 
 
+_FLIP = str.maketrans("+-", "-+")
+
+
+def _alternate(text: str) -> str:
+    """alt(h)_k = (-1)^k h_k: the entries at odd positions flipped."""
+    chars = list(text)
+    chars[1::2] = text[1::2].translate(_FLIP)
+    return "".join(chars)
+
+
+def _alternate_result(result: _ShardResult) -> _ShardResult:
+    """The record of the shard under alt(prefix), derived from the record of
+    the shard under prefix when row-sum is off (see the module docstring).
+    A shard the budget aborted gives a partner that never started."""
+    prefix = _alternate(result.prefix)
+    if not result.completed:
+        return _ShardResult(prefix, False, 0, dict.fromkeys(result.cuts, 0), ())
+    # the walk meets hits in text order, '+' before '-'
+    hits = tuple(sorted(map(_alternate, result.hits)))
+    for text in hits:
+        if not is_circulant_hadamard(SignSequence.from_text(text)):
+            raise RuntimeError(f"alternated hit {text} is not a circulant Hadamard row")
+    return _ShardResult(prefix, True, result.examined, dict(result.cuts), hits)
+
+
+def _pull_shards(order: int, walks: list[str], args: tuple, tasks, results) -> None:
+    """Body of a child process: walk the shards whose indices it pulls from
+    tasks until a None, and send each result down its own pipe."""
+    for index in iter(tasks.get, None):
+        results.send(_run_shard(order, walks[index], *args))
+    results.close()
+
+
+def _walk_in_processes(
+    order: int, walks: list[str], args: tuple, workers: int, settle
+) -> None:
+    """Walk the shards in workers - 1 child processes and in this one, all
+    pulling indices from one queue, and settle every result here.
+
+    A child that exits with a nonzero code raises RuntimeError here once its
+    pipe closes; search refuses any shard left without a result.  The
+    queue's read lock is held only while one index is read; a child killed
+    inside that read would leave the others waiting on the lock."""
+    # imported here, not at the top: the process machinery would add
+    # ~20 ms to every import of circhad
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    # fork, where the platform has it, spares each child re-importing
+    # circhad and rebuilding the shard tables
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    tasks = context.SimpleQueue()
+    for index in range(len(walks)):
+        tasks.put(index)
+    for _ in range(workers):
+        tasks.put(None)
+    children: dict = {}
+
+    def receive(timeout: float | None) -> None:
+        for reader in wait(list(children), timeout):
+            try:
+                result = reader.recv()
+            except (EOFError, OSError):
+                # the child closed its pipe, by returning or by dying
+                child = children.pop(reader)
+                reader.close()
+                child.join()
+                if child.exitcode:
+                    raise RuntimeError(
+                        f"a search worker process exited with code {child.exitcode}"
+                    ) from None
+                continue
+            settle(result)
+
+    try:
+        for _ in range(workers - 1):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_pull_shards, args=(order, walks, args, tasks, writer), daemon=True
+            )
+            child.start()
+            # the child holds the only write end, so its exit ends the pipe
+            writer.close()
+            children[reader] = child
+        for index in iter(tasks.get, None):
+            settle(_run_shard(order, walks[index], *args))
+            receive(0)
+        while children:
+            receive(None)
+    finally:
+        for reader, child in children.items():
+            child.terminate()
+            child.join()
+            reader.close()
+
+
 def _canonical_class(h: SignSequence) -> str:
     """The least text among the rotations of h and of its negation."""
     return min(g.rotate(s).text for g in (h, h.negate()) for s in range(len(h)))
@@ -496,7 +611,8 @@ def search(cfg: SearchConfig) -> SearchReport:
 
     The solution set does not depend on the prune selection or the worker
     count; prunes and parallelism only change how much work is done.  With
-    a budget, the report may come back flagged incomplete.
+    a budget, the report may come back flagged incomplete.  A worker
+    process that dies raises RuntimeError instead of a report.
     """
     started = time.perf_counter()
     cuts_total = {name: 0 for name in sorted(cfg.prunes)}
@@ -507,41 +623,47 @@ def search(cfg: SearchConfig) -> SearchReport:
 
     targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
     prefixes = _shard_prefixes(cfg.order)
+    mirror = PRUNE_ROW_SUM not in cfg.prunes
     ledger = None
     if cfg.ledger_path is not None:
         ledger = _ShardLedger(Path(cfg.ledger_path), cfg)
     results: dict[str, _ShardResult] = dict(ledger.recorded) if ledger else {}
-    pending = [p for p in prefixes if p not in results]
+    # records are written in prefix order: a result waits here until every
+    # earlier prefix has one
+    unrecorded = collections.deque(p for p in prefixes if p not in results)
+
+    def settle(result: _ShardResult) -> None:
+        results[result.prefix] = result
+        if mirror:
+            partner = _alternate_result(result)
+            results.setdefault(partner.prefix, partner)
+        while unrecorded and unrecorded[0] in results:
+            done = results[unrecorded.popleft()]
+            if ledger is not None and done.completed:
+                ledger.record(done)
+
+    # either member of a pair in the ledger supplies the other
+    for result in list(results.values()):
+        settle(result)
+    walks = [p for p in prefixes if p not in results and (not mirror or p[1] == "+")]
     deadline = None
     if cfg.budget_seconds is not None:
         deadline = time.monotonic() + cfg.budget_seconds
 
-    def finish(result: _ShardResult) -> None:
-        results[result.prefix] = result
-        if ledger is not None and result.completed:
-            ledger.record(result)
-
-    # built before any pool forks, so the workers inherit the tables
+    # built before any child forks, so the children inherit the tables
     _shard_tables(cfg.order, targets)
     args = (cfg.prunes, targets, deadline)
-    if cfg.workers == 1 or len(pending) <= 1:
-        for prefix in pending:
-            finish(_run_shard(cfg.order, prefix, *args))
+    workers = min(cfg.workers, len(walks))
+    if workers <= 1:
+        for prefix in walks:
+            settle(_run_shard(cfg.order, prefix, *args))
     else:
-        # imported here, not at the top: the process machinery would add
-        # ~20 ms to every import of circhad
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        # fork, where the platform has it, spares each worker re-importing
-        # circhad and rebuilding the shard tables
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        workers = min(cfg.workers, len(pending))
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            futures = [pool.submit(_run_shard, cfg.order, p, *args) for p in pending]
-            for future in as_completed(futures):
-                finish(future.result())
+        _walk_in_processes(cfg.order, walks, args, workers, settle)
+    missing = [p for p in prefixes if p not in results]
+    if missing:
+        raise RuntimeError(
+            f"no result for {len(missing)} shards, first {missing[0]}: a worker process ended early"
+        )
 
     examined = 0
     hits: list[str] = []

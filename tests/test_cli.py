@@ -492,7 +492,7 @@ def test_console_entrypoint_subprocess():
 
 
 def test_import_loads_no_numpy_or_process_machinery():
-    # numpy is test-only, and the process pool is imported only by a
+    # numpy is test-only, and the process machinery is imported only by a
     # search with more than one worker
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = "import sys, circhad, circhad.cli; print(*sys.modules)"

@@ -1,10 +1,15 @@
-import concurrent.futures
+import contextlib
+import multiprocessing
+import os
 import re
+import signal
+import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from circhad import searcher
 from circhad.blockform import (
     BlockSequence,
     block_decompose,
@@ -19,8 +24,14 @@ from circhad.searcher import (
     all_block_sequences,
     enumerate_block_sequences,
     rowsum_prune_applicable,
+    _alternate,
+    _alternate_result,
+    _minus_targets,
     _PackedLags,
+    _run_shard,
+    _shard_prefixes,
     _shard_tables,
+    _ShardResult,
     search,
 )
 from circhad.seqcore import SignSequence, is_circulant_hadamard
@@ -126,28 +137,66 @@ class TestSearchResults:
 
     def test_shard_tables_built_once_per_search(self):
         _shard_tables.cache_clear()
-        # the parent builds the tables before the pool forks
+        # the parent builds the tables before any child forks
         search(SearchConfig(order=16, workers=2))
         assert _shard_tables.cache_info().misses == 1
-        # every one of the 32 shards reuses them
-        search(SearchConfig(order=16))
-        info = _shard_tables.cache_info()
-        assert (info.misses, info.hits) == (1, 1 + 32)
+        # every shard walked in-process reuses them: all 32 with row-sum,
+        # the 16 with '+' at position 1 without it, which has tables of its own
+        for prunes, misses, hits in ((ALL_PRUNES, 1, 1 + 32), (PAF, 2, 16)):
+            before = _shard_tables.cache_info().hits
+            search(SearchConfig(order=16, prunes=prunes))
+            info = _shard_tables.cache_info()
+            assert (info.misses, info.hits - before) == (misses, hits)
 
     def test_pool_never_exceeds_shard_count(self, monkeypatch):
-        sizes = []
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
 
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                sizes.append(max_workers)
-                # refuse before any process is started
-                assert max_workers <= 8
-                super().__init__(max_workers, *args, **kwargs)
+        def start(process):
+            # refuse before the process is started
+            assert len(started) < limit
+            started.append(process)
+            real_start(process)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        wide = search(SearchConfig(order=4, workers=10_000))
-        assert sizes == [8]
-        assert wide.canonical_json() == search(SearchConfig(order=4)).canonical_json()
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        # 8 shards walked with row-sum, 4 without; the calling process is
+        # the last of min(workers, walks) workers
+        for prunes, walks in ((ALL_PRUNES, 8), (PAF, 4)):
+            started.clear()
+            limit = walks - 1
+            with _time_limit(60):
+                wide = search(SearchConfig(order=4, prunes=prunes, workers=10_000))
+            assert len(started) == walks - 1
+            assert all(not child.is_alive() for child in started)
+            narrow = search(SearchConfig(order=4, prunes=prunes))
+            assert wide.canonical_json() == narrow.canonical_json()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "code, message", [(3, "exited with code 3"), (0, "ended early")], ids=["failed", "quiet"]
+    )
+    def test_dead_child_raises(self, monkeypatch, tmp_path, workers, code, message):
+        parent = os.getpid()
+        died = tmp_path / "died"
+        real_run_shard = searcher._run_shard
+
+        def run_shard(*args):
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(code)
+            # hold the parent's first shard until a child has died, so a
+            # child surely takes one
+            while not died.exists():
+                time.sleep(0.001)
+            return real_run_shard(*args)
+
+        monkeypatch.setattr(searcher, "_run_shard", run_shard)
+        with _time_limit(30):
+            with pytest.raises(RuntimeError, match=message):
+                search(SearchConfig(order=16, prunes=PAF, workers=workers))
 
     def test_workers_and_elapsed_excluded_from_canonical_form(self):
         report = search(SearchConfig(order=4, workers=3))
@@ -173,11 +222,12 @@ class TestWhatIsCut:
     @pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
     def test_matches_reference_dfs(self, order, selection):
         prunes = PRUNE_SELECTIONS[selection]
-        report = search(SearchConfig(order=order, prunes=prunes))
         examined, cuts, solutions = reference_search(order, prunes)
-        assert report.sequences_examined == examined
-        assert report.prune_cuts == cuts
-        assert report.solutions == solutions
+        for workers in (1, 2, 3):
+            report = search(SearchConfig(order=order, prunes=prunes, workers=workers))
+            assert report.sequences_examined == examined, workers
+            assert report.prune_cuts == cuts, workers
+            assert report.solutions == solutions, workers
 
     @pytest.mark.parametrize(
         "order, selection, examined, cuts",
@@ -193,6 +243,97 @@ class TestWhatIsCut:
         report = search(SearchConfig(order=order, prunes=PRUNE_SELECTIONS[selection]))
         assert report.sequences_examined == examined
         assert report.prune_cuts == cuts
+
+
+class TestAlternation:
+    @staticmethod
+    def walk(order, prefix, prunes):
+        targets = _minus_targets(order) if "row-sum" in prunes else None
+        return _run_shard(order, prefix, prunes, targets, None)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_partner_shard_is_isomorphic(self, data):
+        order = data.draw(st.sampled_from(range(4, 41, 4)), label="order")
+        # at most 10 free positions keep an unpruned shard small
+        length = data.draw(st.integers(max(2, order - 10), order), label="length")
+        tail = data.draw(st.text("+-", min_size=length - 1, max_size=length - 1))
+        prefix = "+" + tail
+        for prunes in (PAF, frozenset()):
+            shard = self.walk(order, prefix, prunes)
+            partner = self.walk(order, _alternate(prefix), prunes)
+            assert partner.completed == shard.completed
+            assert partner.examined == shard.examined
+            assert partner.cuts == shard.cuts
+            assert partner.hits == tuple(sorted(map(_alternate, shard.hits)))
+            assert _alternate_result(shard) == partner
+
+    @pytest.mark.parametrize("prunes", [PAF, frozenset()], ids=["paf", "none"])
+    def test_order_four_partners_alternate_hits(self, prunes):
+        derived = []
+        for prefix in _shard_prefixes(4)[:4]:
+            shard = self.walk(4, prefix, prunes)
+            partner = self.walk(4, _alternate(prefix), prunes)
+            assert _alternate_result(shard) == partner
+            derived += partner.hits
+        assert derived == ["+-++", "+---"]
+        # the one-entry prefix is its own partner; alt reverses the walk
+        # order of its four hits, which must be sorted back
+        whole = self.walk(4, "+", prunes)
+        assert len(whole.hits) == 4
+        assert _alternate_result(whole) == whole
+
+    def test_row_sum_pair_differs(self):
+        # alt changes the number of '-' entries, so row-sum walks both
+        shard = self.walk(16, "++++++", ROWSUM)
+        partner = self.walk(16, "+-+-+-", ROWSUM)
+        assert (shard.examined, shard.cuts) == (211, {"row-sum": 374})
+        assert (partner.examined, partner.cuts) == (240, {"row-sum": 440})
+
+    def test_aborted_shard_gives_unstarted_partner(self):
+        aborted = _run_shard(16, "++++++", PAF, None, 0.0)
+        assert not aborted.completed
+        partner = _alternate_result(aborted)
+        assert partner == _ShardResult("+-+-+-", False, 0, {"prefix-paf": 0}, ())
+
+    @pytest.mark.parametrize("kept", ["+", "-"], ids=["representatives", "partners"])
+    @pytest.mark.parametrize("order, prunes", [(4, PAF), (16, frozenset())], ids=["o4", "o16"])
+    def test_resume_from_one_member_of_each_pair(self, tmp_path, monkeypatch, kept, order, prunes):
+        ledger = tmp_path / "shards.ledger"
+        whole = search(SearchConfig(order=order, prunes=prunes, ledger_path=ledger))
+        header, *records = ledger.read_text().splitlines(keepends=True)
+        ledger.write_text(header + "".join(r for r in records if r[1] == kept))
+
+        def refuse(*args):
+            raise AssertionError("every shard is in the ledger or derived from it")
+
+        monkeypatch.setattr(searcher, "_run_shard", refuse)
+        resumed = search(SearchConfig(order=order, prunes=prunes, ledger_path=ledger))
+        assert resumed.canonical_json() == whole.canonical_json()
+        header_after, *after = ledger.read_text().splitlines(keepends=True)
+        assert header_after == header
+        if kept == "+":
+            # representatives come first in prefix order, so their partners
+            # are appended after them exactly as an uninterrupted run writes
+            assert after == records
+        else:
+            assert sorted(after) == sorted(records)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once the given seconds have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
@@ -257,6 +398,29 @@ class TestBudgetAndLedger:
         # four found directly; the other four solutions are their negations
         assert len(hits) == 4
         assert len(report.solutions) == 8
+
+    @pytest.mark.parametrize(
+        "order, selection",
+        [
+            (order, selection)
+            for order in (4, 8, 12, 16)
+            for selection in sorted(PRUNE_SELECTIONS)
+            # a non-square order under row-sum writes no ledger at all
+            if "row-sum" not in PRUNE_SELECTIONS[selection] or order in (4, 16)
+        ],
+    )
+    def test_ledger_is_in_prefix_order_for_any_worker_count(self, tmp_path, order, selection):
+        prunes = PRUNE_SELECTIONS[selection]
+        ledgers = set()
+        for workers in (1, 2, 3):
+            ledger = tmp_path / f"w{workers}.ledger"
+            search(SearchConfig(order=order, prunes=prunes, workers=workers, ledger_path=ledger))
+            ledgers.add(ledger.read_bytes())
+        assert len(ledgers) == 1
+        records = [
+            line.split()[0] for line in ledgers.pop().decode().splitlines()[1:] if " done " in line
+        ]
+        assert records == list(_shard_prefixes(order))
 
     def test_ledger_config_mismatch_refused(self, tmp_path):
         ledger = tmp_path / "shards.ledger"
