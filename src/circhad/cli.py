@@ -248,6 +248,8 @@ def _cmd_match(args: argparse.Namespace) -> Report:
     bs = BlockSequence.from_text(args.blocks)
     inputs: dict = {"blocks": args.blocks}
     if args.matchings is not None:
+        if args.lag is not None:
+            raise ValueError("give either --lag or --matchings, not both")
         inputs["matchings"] = args.matchings
         book, violations = _read_book(Path(args.matchings), bs)
         result = {
@@ -546,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes to walk shards in, the calling process counted as one "
-        "(at most one per walked shard); the report is the same for any count",
+        help="processes to walk shards in where the platform can fork, the calling "
+        "process counted as one (at most one per walked shard); the report is the "
+        "same for any count",
     )
     p.add_argument("--canonical", action="store_true", help="also report orbit representatives")
     p.add_argument("--budget-seconds", type=float, default=None)

@@ -39,11 +39,12 @@ is walked and its partner's record is derived from it; the reported counts
 are still those of the full tree.  alt changes the number of -1 entries, so
 a selection with row-sum walks every shard.
 
-With more than one worker, workers - 1 child processes (forked where the
-platform has it) and the calling process itself pull shard indices from one
-queue; each child sends its results back over its own pipe, and only the
-calling process writes the ledger.  A child that dies makes the search
-raise RuntimeError rather than report its shard.
+With more than one worker, the calling process forks workers - 1 children
+(none where the platform cannot fork), and every process, itself included,
+claims its next shard by reading the shard's index from one pipe.  Each
+child sends its results back over its own pipe, only the calling process
+writes the ledger, and a child that dies makes the search raise
+RuntimeError rather than report its shard.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import collections
 import functools
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass
 from math import inf, isqrt
@@ -82,6 +84,8 @@ ALL_PRUNES = frozenset({PRUNE_ROW_SUM, PRUNE_PREFIX_PAF})
 _SHARD_DEPTH_CAP = 6
 # how often a shard polls the budget deadline, in tree nodes
 _DEADLINE_POLL = 4096
+# bytes in a key index on the task pipe of _walk
+_WIDTH = 2
 
 
 @dataclass(frozen=True)
@@ -375,76 +379,89 @@ def _alternate_result(result: _ShardResult) -> _ShardResult:
     return _ShardResult(prefix, True, result.examined, dict(result.cuts), hits)
 
 
-def _pull_shards(order: int, walks: list[str], args: tuple, tasks, results) -> None:
-    """Body of a child process: walk the shards whose indices it pulls from
-    tasks until a None, and send each result down its own pipe."""
-    for index in iter(tasks.get, None):
-        results.send(_run_shard(order, walks[index], *args))
-    results.close()
+def _walk(walk, keys: list, workers: int, settle) -> None:
+    """Call settle(walk(key)) here for every key, walking the keys in this
+    process and in up to workers - 1 children forked from it (none without
+    os.fork).  Every process claims its next key by reading one index from
+    a pipe filled before any fork.  A child sends each result back over its
+    own pipe as one line, a pickle in hex, so a line torn by its death is
+    never settled; a nonzero exit of a child raises RuntimeError here."""
+    tasks, feed = os.pipe()
+    # _WIDTH bytes a key: the pipe holds them all before anyone reads
+    os.write(feed, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(keys))))
+    os.close(feed)
 
+    def claims():
+        while claim := os.read(tasks, _WIDTH):
+            yield keys[int.from_bytes(claim, "little")]
 
-def _walk_in_processes(
-    order: int, walks: list[str], args: tuple, workers: int, settle
-) -> None:
-    """Walk the shards in workers - 1 child processes and in this one, all
-    pulling indices from one queue, and settle every result here.
+    forks = min(workers, len(keys)) - 1 if hasattr(os, "fork") else 0
+    if forks > 0:
+        # imported here: they would add ~3 ms to every import of circhad
+        import pickle
+        import select
+        import signal
 
-    A child that exits with a nonzero code raises RuntimeError here once its
-    pipe closes; search refuses any shard left without a result.  The
-    queue's read lock is held only while one index is read; a child killed
-    inside that read would leave the others waiting on the lock."""
-    # imported here, not at the top: the process machinery would add
-    # ~20 ms to every import of circhad
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    # fork, where the platform has it, spares each child re-importing
-    # circhad and rebuilding the shard tables
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    tasks = context.SimpleQueue()
-    for index in range(len(walks)):
-        tasks.put(index)
-    for _ in range(workers):
-        tasks.put(None)
-    children: dict = {}
+        poller = select.poll()
+    children: dict[int, tuple[int, bytes]] = {}  # result pipe: pid, unread bytes
 
     def receive(timeout: float | None) -> None:
-        for reader in wait(list(children), timeout):
-            try:
-                result = reader.recv()
-            except (EOFError, OSError):
-                # the child closed its pipe, by returning or by dying
-                child = children.pop(reader)
-                reader.close()
-                child.join()
-                if child.exitcode:
-                    raise RuntimeError(
-                        f"a search worker process exited with code {child.exitcode}"
-                    ) from None
+        for reader, _ in poller.poll(timeout):
+            pid, unread = children[reader]
+            data = os.read(reader, 1 << 16)
+            if data:
+                *lines, unread = (unread + data).split(b"\n")
+                children[reader] = (pid, unread)
+                for line in lines:
+                    settle(pickle.loads(bytes.fromhex(line.decode())))
                 continue
-            settle(result)
+            # end of file: the child has exited or is exiting
+            poller.unregister(reader)
+            del children[reader]
+            os.close(reader)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise RuntimeError(f"a search worker process exited with code {code}")
 
     try:
-        for _ in range(workers - 1):
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_pull_shards, args=(order, walks, args, tasks, writer), daemon=True
-            )
-            child.start()
+        for _ in range(forks):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                try:
+                    for key in claims():
+                        line = pickle.dumps(walk(key)).hex().encode() + b"\n"
+                        while line:
+                            line = line[os.write(writer, line) :]
+                    os._exit(0)
+                except BaseException:
+                    import traceback
+
+                    # to fd 2 itself: sys.stderr may hold the parent's unflushed output
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(1)
             # the child holds the only write end, so its exit ends the pipe
-            writer.close()
-            children[reader] = child
-        for index in iter(tasks.get, None):
-            settle(_run_shard(order, walks[index], *args))
-            receive(0)
+            os.close(writer)
+            children[reader] = (pid, b"")
+            poller.register(reader, select.POLLIN)
+        for key in claims():
+            settle(walk(key))
+            if children:
+                receive(0)
         while children:
             receive(None)
     finally:
-        for reader, child in children.items():
-            child.terminate()
-            child.join()
-            reader.close()
+        os.close(tasks)
+        for reader, (pid, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(reader)
 
 
 def _canonical_class(h: SignSequence) -> str:
@@ -652,13 +669,11 @@ def search(cfg: SearchConfig) -> SearchReport:
 
     # built before any child forks, so the children inherit the tables
     _shard_tables(cfg.order, targets)
-    args = (cfg.prunes, targets, deadline)
-    workers = min(cfg.workers, len(walks))
-    if workers <= 1:
-        for prefix in walks:
-            settle(_run_shard(cfg.order, prefix, *args))
-    else:
-        _walk_in_processes(cfg.order, walks, args, workers, settle)
+
+    def walk(prefix: str) -> _ShardResult:
+        return _run_shard(cfg.order, prefix, cfg.prunes, targets, deadline)
+
+    _walk(walk, walks, cfg.workers, settle)
     missing = [p for p in prefixes if p not in results]
     if missing:
         raise RuntimeError(

@@ -7,9 +7,11 @@ multiplies it out with numpy integer arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import numpy as np
 
@@ -29,6 +31,31 @@ from circhad.matchchase import (
     MatchingBook,
     ValidationReport,
 )
+
+
+# a search with more than one worker must finish well inside this; a hang
+# in the process code then fails its test instead of stalling the suite
+SEARCH_SECONDS = 120
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block (or the decorated test) once the given
+    seconds have passed; no limit where the platform has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def dense_circulant(text: str) -> np.ndarray:

@@ -21,7 +21,13 @@ from circhad.matchchase import IndexPair, chase, even_pairs_at_lag, find_book, f
 from circhad.searcher import SearchConfig, all_block_sequences, search
 from circhad.seqcore import SignSequence, paf, paf_spectrum
 
-from helpers import all_sign_texts, dense_hadamard_ok, random_sign_text
+from helpers import (
+    SEARCH_SECONDS,
+    all_sign_texts,
+    dense_hadamard_ok,
+    random_sign_text,
+    time_limit,
+)
 
 
 @contextmanager
@@ -144,6 +150,7 @@ def test_criterion_7_chase_termination_and_determinism():
                     assert len(first.steps) <= bound
 
 
+@time_limit(SEARCH_SECONDS)
 def test_criterion_8_parallel_determinism():
     with criterion(8, "parallel determinism", 30.0):
         reports = [search(SearchConfig(order=16, workers=w)) for w in (1, 2, 8)]

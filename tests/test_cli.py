@@ -190,6 +190,16 @@ class TestMatch:
         assert doc["result"]["violations"] == ["lag 8: lag 8 is outside 1..5 for 6 blocks"]
         assert doc["result"]["valid"] is False
 
+    def test_lag_with_matchings_refused(self, capsys, tmp_path):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
+        argv = ["--lag", "4", "--matchings", str(matchings)]
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "match", "--format", fmt, COUNTEREXAMPLE_BLOCKS, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: give either --lag or --matchings, not both\n"
+
 
 class TestChase:
     def test_unreduced_lag_exit_two(self, capsys, tmp_path):
@@ -492,12 +502,17 @@ def test_console_entrypoint_subprocess():
 
 
 def test_import_loads_no_numpy_or_process_machinery():
-    # numpy is test-only, and the process machinery is imported only by a
-    # search with more than one worker
+    # numpy is test-only, and a search with more than one worker forks
+    # its children itself
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = "import sys, circhad, circhad.cli; print(*sys.modules)"
+    code = (
+        "import sys, circhad, circhad.cli\n"
+        "from circhad.searcher import SearchConfig, search\n"
+        "search(SearchConfig(order=16, workers=2))\n"
+        "print(*sys.modules)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()

@@ -1,8 +1,6 @@
-import contextlib
-import multiprocessing
+import errno
 import os
 import re
-import signal
 import time
 from collections import Counter
 
@@ -37,11 +35,13 @@ from circhad.searcher import (
 from circhad.seqcore import SignSequence, is_circulant_hadamard
 
 from helpers import (
+    SEARCH_SECONDS,
     all_sign_texts,
     dense_hadamard_ok,
     reference_block_sequences,
     reference_residual,
     reference_search,
+    time_limit,
 )
 
 PAF = frozenset({"prefix-paf"})
@@ -130,11 +130,13 @@ class TestSearchResults:
         assert report.sequences_examined == 0
         assert report.prune_cuts["row-sum"] == 1
 
+    @time_limit(SEARCH_SECONDS)
     def test_parallel_determinism(self):
         reports = [search(SearchConfig(order=16, workers=w)) for w in (1, 2, 8)]
         first = reports[0].canonical_json()
         assert all(r.canonical_json() == first for r in reports[1:])
 
+    @time_limit(SEARCH_SECONDS)
     def test_shard_tables_built_once_per_search(self):
         _shard_tables.cache_clear()
         # the parent builds the tables before any child forks
@@ -148,32 +150,130 @@ class TestSearchResults:
             info = _shard_tables.cache_info()
             assert (info.misses, info.hits - before) == (misses, hits)
 
+    @staticmethod
+    def count_forks(monkeypatch, limit=None):
+        """Record the pid of every child that os.fork starts, refusing any
+        fork beyond the limit as fork does at a process limit."""
+        forked = []
+        real_fork = os.fork
+
+        def fork():
+            if limit is not None and len(forked) >= limit:
+                raise BlockingIOError(errno.EAGAIN, "fork refused")
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @time_limit(SEARCH_SECONDS)
     def test_pool_never_exceeds_shard_count(self, monkeypatch):
-        started = []
-        real_start = multiprocessing.process.BaseProcess.start
-
-        def start(process):
-            # refuse before the process is started
-            assert len(started) < limit
-            started.append(process)
-            real_start(process)
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
         # 8 shards walked with row-sum, 4 without; the calling process is
         # the last of min(workers, walks) workers
         for prunes, walks in ((ALL_PRUNES, 8), (PAF, 4)):
-            started.clear()
-            limit = walks - 1
-            with _time_limit(60):
+            with monkeypatch.context() as patch:
+                forked = self.count_forks(patch, limit=walks - 1)
                 wide = search(SearchConfig(order=4, prunes=prunes, workers=10_000))
-            assert len(started) == walks - 1
-            assert all(not child.is_alive() for child in started)
+            assert len(forked) == walks - 1
+            self.assert_reaped(forked)
             narrow = search(SearchConfig(order=4, prunes=prunes))
             assert wide.canonical_json() == narrow.canonical_json()
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-    )
+    @time_limit(SEARCH_SECONDS)
+    def test_without_fork_every_shard_is_walked_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        alone = search(SearchConfig(order=16, workers=4))
+        assert alone.canonical_json() == search(SearchConfig(order=16)).canonical_json()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @time_limit(SEARCH_SECONDS)
+    def test_child_exception_exits_one_with_traceback(self, monkeypatch, tmp_path, capfd):
+        parent = os.getpid()
+        died = tmp_path / "died"
+        real_run_shard = searcher._run_shard
+
+        def run_shard(*args):
+            if os.getpid() != parent:
+                died.touch()
+                raise ValueError("shard walk failed in a child")
+            while not died.exists():
+                time.sleep(0.001)
+            return real_run_shard(*args)
+
+        monkeypatch.setattr(searcher, "_run_shard", run_shard)
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            search(SearchConfig(order=16, prunes=PAF, workers=2))
+        err = capfd.readouterr().err
+        assert "Traceback" in err
+        assert "ValueError: shard walk failed in a child" in err
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @time_limit(SEARCH_SECONDS)
+    def test_torn_result_line_is_not_settled(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        died = tmp_path / "died"
+        real_write = os.write
+
+        def write(fd, data):
+            if os.getpid() == parent:
+                return real_write(fd, data)
+            # the child dies halfway through sending its first result
+            real_write(fd, data[: len(data) // 2])
+            died.touch()
+            os._exit(5)
+
+        def walk(key):
+            # the calling process holds its first key until the child died
+            while os.getpid() == parent and not died.exists():
+                time.sleep(0.001)
+            return key
+
+        monkeypatch.setattr(os, "write", write)
+        settled = []
+        with pytest.raises(RuntimeError, match="exited with code 5"):
+            searcher._walk(walk, ["a", "b", "c"], 2, settled.append)
+        # the child claimed one key and sent half a line for it
+        assert len(settled) == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @time_limit(SEARCH_SECONDS)
+    def test_failed_fork_reaps_children_and_closes_pipes(self, monkeypatch):
+        open_fds = len(os.listdir("/proc/self/fd"))
+        forked = self.count_forks(monkeypatch, limit=1)
+        with pytest.raises(BlockingIOError):
+            search(SearchConfig(order=16, prunes=PAF, workers=3))
+        assert len(forked) == 1
+        self.assert_reaped(forked)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @time_limit(SEARCH_SECONDS)
+    def test_parent_raising_mid_walk_reaps_children(self, monkeypatch, tmp_path):
+        forked = self.count_forks(monkeypatch)
+        real_record = searcher._ShardLedger.record
+        records = []
+
+        def record(ledger, result):
+            if records:
+                raise OSError("disk full")
+            records.append(result)
+            real_record(ledger, result)
+
+        monkeypatch.setattr(searcher._ShardLedger, "record", record)
+        cfg = SearchConfig(order=16, prunes=PAF, workers=3, ledger_path=tmp_path / "l")
+        with pytest.raises(OSError, match="disk full"):
+            search(cfg)
+        assert len(forked) == 2
+        self.assert_reaped(forked)
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
         "code, message", [(3, "exited with code 3"), (0, "ended early")], ids=["failed", "quiet"]
@@ -194,10 +294,11 @@ class TestSearchResults:
             return real_run_shard(*args)
 
         monkeypatch.setattr(searcher, "_run_shard", run_shard)
-        with _time_limit(30):
+        with time_limit(30):
             with pytest.raises(RuntimeError, match=message):
                 search(SearchConfig(order=16, prunes=PAF, workers=workers))
 
+    @time_limit(SEARCH_SECONDS)
     def test_workers_and_elapsed_excluded_from_canonical_form(self):
         report = search(SearchConfig(order=4, workers=3))
         doc = report.canonical_dict()
@@ -220,6 +321,7 @@ class TestSearchResults:
 class TestWhatIsCut:
     @pytest.mark.parametrize("order", [4, 8, 12, 16])
     @pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
+    @time_limit(SEARCH_SECONDS)
     def test_matches_reference_dfs(self, order, selection):
         prunes = PRUNE_SELECTIONS[selection]
         examined, cuts, solutions = reference_search(order, prunes)
@@ -320,22 +422,6 @@ class TestAlternation:
             assert sorted(after) == sorted(records)
 
 
-@contextlib.contextmanager
-def _time_limit(seconds):
-    """Raise TimeoutError in the block once the given seconds have passed."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @st.composite
 def sign_rows(draw):
     length = draw(st.sampled_from(range(8, 41, 4)))
@@ -409,6 +495,7 @@ class TestBudgetAndLedger:
             if "row-sum" not in PRUNE_SELECTIONS[selection] or order in (4, 16)
         ],
     )
+    @time_limit(SEARCH_SECONDS)
     def test_ledger_is_in_prefix_order_for_any_worker_count(self, tmp_path, order, selection):
         prunes = PRUNE_SELECTIONS[selection]
         ledgers = set()
