@@ -94,7 +94,7 @@ class TwoBlock:
 _BLOCK_ALPHABET = (TwoBlock(1, 1), TwoBlock(1, -1), TwoBlock(-1, 1), TwoBlock(-1, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymBlockMatrix:
     """Integer matrix [[diag, offdiag], [offdiag, diag]]; sums and products
     of 2-blocks land here."""
@@ -267,7 +267,7 @@ def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
     that _residual computes; an empty sum is the zero matrix.  The lag is
     cyclic and must be nonzero modulo 2n.
     """
-    k = _residual(bs, _normalized_lag(u, len(bs)))
+    k = _residual(bs, _normalized_lag(u, bs._count))
     return SymBlockMatrix(k, k)
 
 

@@ -49,14 +49,18 @@ def _read_file(path: Path) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
-_START = re.compile(r"^\(?(\d+),(\d+)\)?$")
+# i,j or (i,j) in ASCII digits; a closing parenthesis only after an opening one
+_START = re.compile(r"^(\()?(\d+),(\d+)(?(1)\))$", re.ASCII)
 
 
 def _parse_start(text: str) -> IndexPair:
     match = _START.match(re.sub(r"\s+", "", text))
     if match is None:
         raise ValueError(f"cannot parse start pair {text!r}; expected i,j")
-    return IndexPair(int(match.group(1)), int(match.group(2)))
+    try:
+        return IndexPair(int(match.group(2)), int(match.group(3)))
+    except ValueError as exc:
+        raise ValueError(f"start pair {text!r}: {exc}") from None
 
 
 def _pair(p: IndexPair | None) -> list[int] | None:

@@ -22,9 +22,17 @@ revisit its starting obligation instead of running out of matchings.
 Matchings are read from the lag masks of the block sequence's compression
 (seqcore._lag_masks), as the cancellation residual is: ``both`` marks the
 even pairs at lag u and ``flips`` those whose product is -2J, so two even
-pairs negate exactly when one of them flips.  A lag matching and a
-matching book each keep a partner table, so the chase looks partners up
-instead of scanning.
+pairs negate exactly when one of them flips.  One per-lag routine,
+_lag_pairs, pairs them off by walking the set bits of the two masks;
+find_matching wraps its result, and find_book builds every lag's matching
+and the book's partner table from it in one pass over the lags.
+
+A lag matching and a matching book each keep a partner table, so the chase
+looks partners up instead of scanning.  A book also keeps a step table with
+the same (lag, first, second) keys, filled as chases visit obligations:
+each ChaseStep is built the first time any chase on the book meets its
+obligation and shared by every later trace, so chasing from every start
+of a row builds each step once.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
-from .blockform import BlockSequence, _normalized_lag, block_product, is_symmetric_even
+from .blockform import BlockSequence, _normalized_lag, block_product
 from .seqcore import _lag_masks, _set_bits
 
 __all__ = [
@@ -58,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IndexPair:
     """Ordered index pair (first, second), usually (i, (i + u) mod 2n)."""
 
@@ -136,10 +144,12 @@ class MatchingBook:
     """At most one lag matching per lag, all over one block sequence.
 
     The partner table maps (lag, first, second) of each matched index pair
-    to its partner, the first occurrence winning within a lag.
+    to its partner, the first occurrence winning within a lag.  The step
+    table maps the same keys to the ChaseStep that chase records there; it
+    starts empty and chase fills it.
     """
 
-    __slots__ = ("_by_lag", "_partners")
+    __slots__ = ("_by_lag", "_partners", "_steps")
 
     def __init__(self, matchings: Iterable[LagMatching] = ()) -> None:
         by_lag: dict[int, LagMatching] = {}
@@ -153,6 +163,19 @@ class MatchingBook:
                 partners.setdefault((m.lag, q.first, q.second), p)
         self._by_lag = by_lag
         self._partners = partners
+        self._steps: dict[tuple[int, int, int], ChaseStep] = {}
+
+    @classmethod
+    def _trusted(
+        cls, by_lag: dict[int, LagMatching], partners: dict[tuple[int, int, int], IndexPair]
+    ) -> "MatchingBook":
+        """Trusted constructor: the caller built partners from by_lag as
+        __init__ would."""
+        book = cls.__new__(cls)
+        book._by_lag = by_lag
+        book._partners = partners
+        book._steps = {}
+        return book
 
     def lags(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_lag))
@@ -187,6 +210,9 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VALID = ValidationReport(())
 
 
 def _pair_violations(bs: BlockSequence, u: int, pair: IndexPair) -> list[str]:
@@ -238,7 +264,7 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
             violations.append(
                 f"{p}~{q}: products {prod_p} and {prod_q} are not negatives"
             )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations)) if violations else _VALID
 
 
 def even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
@@ -249,6 +275,33 @@ def even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
     return tuple(_index_pair(i, (i + u) % mod) for i in _set_bits(both))
 
 
+def _lag_pairs(bs: BlockSequence, u: int) -> list[MatchedPair]:
+    """find_matching's matched pairs at a lag 1 <= u < 2n, canonical.
+
+    The +2J pairs (``both`` without ``flips``) and the -2J pairs
+    (``flips``) are walked together by first index, lowest set bit first,
+    and paired off in order until one side runs out.  The two first
+    indices of a matched pair differ, so the smaller one leads; it is the
+    minimum of two increasing sequences, hence increasing, and the list
+    needs no sort.
+    """
+    mod = bs._count
+    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
+    plus = both & ~flips
+    pairs = []
+    while plus and flips:
+        low_plus = plus & -plus
+        low_flip = flips & -flips
+        plus ^= low_plus
+        flips ^= low_flip
+        i = low_plus.bit_length() - 1
+        j = low_flip.bit_length() - 1
+        if j < i:
+            i, j = j, i
+        pairs.append((_index_pair(i, (i + u) % mod), _index_pair(j, (j + u) % mod)))
+    return pairs
+
+
 def find_matching(bs: BlockSequence, u: int) -> LagMatching:
     """Maximal product-negating matching at lag u, built deterministically.
 
@@ -256,26 +309,28 @@ def find_matching(bs: BlockSequence, u: int) -> LagMatching:
     and a -2J list, each already ordered by first index; pairing them off
     smallest-first gives the matching.  It is perfect exactly when the two
     lists have equal length, i.e. when the cancellation residual vanishes.
-    Pairs from the two lists have different first indices, so no pair
-    repeats and the sorted int pairs are already canonical.
     """
-    mod = bs._count
-    u = _normalized_lag(u, mod)
-    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
-    matched = []
-    for i, j in zip(_set_bits(both & ~flips), _set_bits(flips)):
-        p, q = (i, (i + u) % mod), (j, (j + u) % mod)
-        matched.append((p, q) if p < q else (q, p))
-    matched.sort()
-    return LagMatching(
-        u, tuple((_index_pair(*p), _index_pair(*q)) for p, q in matched)
-    )
+    u = _normalized_lag(u, bs._count)
+    return LagMatching(u, tuple(_lag_pairs(bs, u)))
 
 
 def find_book(bs: BlockSequence) -> MatchingBook:
-    """find_matching at every nonzero lag, keeping the nonempty results."""
-    found = (find_matching(bs, u) for u in range(1, len(bs)))
-    return MatchingBook(m for m in found if m.pairs)
+    """find_matching at every nonzero lag, keeping the nonempty results.
+
+    The matchings and the book's partner table come from one pass over the
+    lags; the pairs of one matching are disjoint, so each partner entry is
+    its first occurrence, as MatchingBook's own table keeps it.
+    """
+    by_lag: dict[int, LagMatching] = {}
+    partners: dict[tuple[int, int, int], IndexPair] = {}
+    for u in range(1, bs._count):
+        pairs = _lag_pairs(bs, u)
+        if pairs:
+            by_lag[u] = LagMatching(u, tuple(pairs))
+            for p, q in pairs:
+                partners[u, p.first, p.second] = q
+                partners[u, q.first, q.second] = p
+    return MatchingBook._trusted(by_lag, partners)
 
 
 class ChaseOutcome(enum.Enum):
@@ -283,11 +338,15 @@ class ChaseOutcome(enum.Enum):
     MATCHING_UNAVAILABLE = "MatchingUnavailable"
     DEGENERATE = "Degenerate"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # skips Enum's Python-level hash(self._name_)
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChaseStep:
     """One visited obligation and the pair matched with it, if any."""
 
@@ -295,7 +354,7 @@ class ChaseStep:
     matched: IndexPair | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChaseTrace:
     """Ordered chase log.  For a Cycle, repeat is the revisited obligation;
     otherwise it is None and the last step tells the story."""
@@ -315,38 +374,43 @@ def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace
     the book at lag (b - a) mod 2n; the next obligation is (a, m).  The
     start must be an even-even pair whose first block is not symmetric.
     Obligations live in a finite set with fixed first coordinate, so the
-    chase always terminates.
+    chase always terminates.  Each step comes from the book's step table
+    and is built only the first time the book meets its obligation.
     """
     mod = bs._count
-    if start.first >= mod or start.second >= mod:
+    a, b = start.first, start.second
+    if a >= mod or b >= mod:
         raise ValueError(f"start {start} out of range for {mod} blocks")
-    for idx in (start.first, start.second):
-        if not bs._even >> idx & 1:
+    even = bs._even
+    for idx in (a, b):
+        if not even >> idx & 1:
             raise ValueError(f"start {start} touches odd block {idx}")
-    if is_symmetric_even(bs, start.first):
+    # is_symmetric_even on a block already known to be even
+    if even >> (a + mod // 2) % mod & 1:
         raise ValueError(
-            f"block {start.first} is symmetric; the chase premise needs a "
+            f"block {a} is symmetric; the chase premise needs a "
             "non-symmetric even block"
         )
     # the first coordinate never changes, so an obligation is its second
-    a, b = start.first, start.second
     partners = book._partners
+    table = book._steps
     steps: list[ChaseStep] = []
     seen = {b}
-    current = start
     while True:
-        partner = partners.get(((b - a) % mod, a, b))
+        key = ((b - a) % mod, a, b)
+        step = table.get(key)
+        if step is None:
+            step = table[key] = ChaseStep(_index_pair(a, b), partners.get(key))
+        steps.append(step)
+        partner = step.matched
         if partner is None:
-            steps.append(ChaseStep(current, None))
             return ChaseTrace(tuple(steps), ChaseOutcome.MATCHING_UNAVAILABLE)
-        steps.append(ChaseStep(current, partner))
         b = partner.second
         if b == a:
             return ChaseTrace(tuple(steps), ChaseOutcome.DEGENERATE)
         if b in seen:
             return ChaseTrace(tuple(steps), ChaseOutcome.CYCLE, repeat=_index_pair(a, b))
         seen.add(b)
-        current = _index_pair(a, b)
 
 
 class Counterexample(NamedTuple):
@@ -372,7 +436,8 @@ def counterexample() -> Counterexample:
     return Counterexample(blocks, book, IndexPair(0, 2))
 
 
-_MATCHING_LINE = re.compile(r"^u=(\d+):\((\d+),(\d+)\)~\((\d+),(\d+)\)$")
+# ASCII digits only: int() would read other scripts' digits as numbers too
+_MATCHING_LINE = re.compile(r"^u=(\d+):\((\d+),(\d+)\)~\((\d+),(\d+)\)$", re.ASCII)
 
 
 def parse_matching_lines(lines: Iterable[str]) -> MatchingBook:

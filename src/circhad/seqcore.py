@@ -148,6 +148,13 @@ class PafSpectrum:
             if self.values[u] != self.values[L - u]:
                 raise ValueError("spectrum must be symmetric about the half length")
 
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "PafSpectrum":
+        """Trusted constructor: the caller guarantees the checks above."""
+        spectrum = cls.__new__(cls)
+        object.__setattr__(spectrum, "values", values)
+        return spectrum
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -211,8 +218,16 @@ def paf(h: SignSequence, u: int) -> int:
 
 
 def paf_spectrum(h: SignSequence) -> PafSpectrum:
-    """All lags at once: values[u] = paf(h, u) for u in 0..L-1."""
-    return PafSpectrum(tuple(paf(h, u) for u in range(len(h))))
+    """All lags at once: values[u] = paf(h, u) for u in 0..L-1.
+
+    Lags 0..L/2 are computed and mirrored, as paf(h, L - u) = paf(h, u);
+    the peak is L, so the spectrum passes PafSpectrum's checks by
+    construction.
+    """
+    L = h._length
+    ones = (1 << L) - 1
+    half = [_ternary_paf(ones, h._bits, u, L) for u in range(L // 2 + 1)]
+    return PafSpectrum._trusted(tuple(half + half[(L - 1) // 2:0:-1]))
 
 
 def is_circulant_hadamard(h: SignSequence) -> bool:

@@ -287,6 +287,53 @@ class TestChase:
         assert code == 2
         assert "odd" in err
 
+    @pytest.mark.parametrize(
+        "start", ["٠,2", "0,٢", "(0,2", "0,2)", "((0,2))", "(0,2))"]
+    )
+    def test_malformed_start_exit_two(self, capsys, tmp_path, start):
+        # Arabic-Indic digits would read as 0 and 2 through int()
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
+        code, out, err = run(
+            capsys, "chase", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", start
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot parse start pair {start!r}; expected i,j\n"
+
+    @pytest.mark.parametrize("start", ["0,2", "(0,2)", " ( 0 , 2 ) "])
+    def test_start_forms_accepted(self, capsys, tmp_path, start):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
+        code, doc, _ = run_json(
+            capsys, "chase", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", start
+        )
+        assert code == 0
+        assert doc["result"]["start"] == [0, 2]
+
+    def test_equal_start_indices_named(self, capsys, tmp_path):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
+        code, out, err = run(
+            capsys, "chase", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", "0,0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: start pair '0,0': pair indices must differ\n"
+
+    @pytest.mark.parametrize("line", ["u=٢: (0,2)~(2,4)", "u=2: (٠,2)~(2,4)"])
+    def test_non_ascii_digits_in_matching_file_exit_two(self, capsys, tmp_path, line):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(line + "\n", encoding="utf-8")
+        for command in (["match"], ["chase", "--start", "0,2"]):
+            code, out, err = run(
+                capsys, command[0], COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings),
+                *command[1:],
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {matchings}: line 1: cannot parse matching {line!r}\n"
+
 
 class TestCounterexampleCommand:
     def test_all_checks_pass(self, capsys):

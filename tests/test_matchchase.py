@@ -2,7 +2,7 @@ import random
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from circhad.blockform import (
     BlockSequence,
@@ -281,6 +281,36 @@ def test_matching_book_and_chase_match_reference(bs):
                 assert chase(bs, book, start) == reference_chase(bs, book, start)
 
 
+def chase_starts(bs):
+    evens = bs.even_indices()
+    return [pair(a, b) for a in evens if not is_symmetric_even(bs, a) for b in evens if b != a]
+
+
+@given(block_rows(), block_rows())
+def test_warm_step_table_matches_reference(row, other):
+    # one book serves every start of its own row, and then of a row of
+    # another length, so later chases take their steps from the table
+    assume(len(row) != len(other))
+    for bs, companion in ((row, other), (other, row)):
+        mod = len(bs)
+        found = [find_matching(bs, u) for u in range(1, mod)]
+        book = find_book(bs)
+        assert book == MatchingBook(m for m in found if m.pairs)
+        assert book._partners == MatchingBook(book.matchings())._partners
+        for rows in (bs, companion):
+            for start in chase_starts(rows):
+                assert chase(rows, book, start) == reference_chase(rows, book, start)
+
+
+def test_outcomes_as_keys():
+    tally = dict.fromkeys(ChaseOutcome, 0)
+    for outcome in (*ChaseOutcome, ChaseOutcome("Cycle"), ChaseOutcome["DEGENERATE"]):
+        tally[outcome] += 1
+    assert list(tally.values()) == [2, 1, 2]
+    assert set(ChaseOutcome) | {ChaseOutcome("Cycle")} == set(ChaseOutcome)
+    assert ChaseOutcome.CYCLE not in {ChaseOutcome.DEGENERATE}
+
+
 @st.composite
 def arbitrary_matchings(draw):
     bs = draw(block_rows())
@@ -429,6 +459,13 @@ class TestMatchingLines:
     def test_malformed_line_reports_position(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_matching_lines(["u=2: (0,2)~(2,4)", "nonsense"])
+
+    @pytest.mark.parametrize(
+        "line", ["u=٢: (0,2)~(2,4)", "u=2: (0,٢)~(2,4)", "u=2: (0,2)~(2,4"]
+    )
+    def test_only_ascii_digits_and_closed_parentheses(self, line):
+        with pytest.raises(ValueError, match="line 1: cannot parse matching"):
+            parse_matching_lines([line])
 
     def test_reused_pair_rejected(self):
         with pytest.raises(ValueError):

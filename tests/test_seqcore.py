@@ -203,3 +203,25 @@ def test_ternary_kernel_matches_reference(masks):
         assert paf(h, u) == reference_ternary_paf(signs, u)
     vanishes = all(reference_ternary_paf(c, u) == 0 for u in range(1, L))
     assert _paf_vanishes(support, neg, L) == vanishes
+
+
+@st.composite
+def sign_rows(draw):
+    L = draw(st.integers(1, 64))
+    return SignSequence.from_bits(L, draw(st.integers(0, (1 << L) - 1)))
+
+
+@given(sign_rows())
+def test_mirrored_spectrum_matches_paf(h):
+    spectrum = paf_spectrum(h)
+    assert spectrum.values == tuple(paf(h, u) for u in range(len(h)))
+    # the trusted construction would pass the checked one
+    assert PafSpectrum(spectrum.values) == spectrum
+
+
+def test_mirrored_spectrum_every_length():
+    rng = random.Random(17)
+    for L in range(1, 65):
+        for _ in range(4):
+            h = seq(random_sign_text(rng, L))
+            assert list(paf_spectrum(h)) == [paf(h, u) for u in range(L)], h.text
