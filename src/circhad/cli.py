@@ -15,12 +15,16 @@ import sys
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import blockform, matchchase, searcher
-from .blockform import BlockSequence, SymBlockMatrix
-from .matchchase import ChaseOutcome, ChaseTrace, IndexPair, MatchingBook
+from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM
 from .seqcore import SignSequence, is_circulant_hadamard, paf, paf_spectrum
+
+# a subcommand loads the layers it runs, and only those: each handler
+# imports blockform, matchchase or searcher itself
+if TYPE_CHECKING:
+    from .blockform import BlockSequence, SymBlockMatrix
+    from .matchchase import ChaseTrace, IndexPair, MatchingBook
 
 
 @dataclass
@@ -54,11 +58,13 @@ _START = re.compile(r"^(\()?(\d+),(\d+)(?(1)\))$", re.ASCII)
 
 
 def _parse_start(text: str) -> IndexPair:
+    from . import matchchase
+
     match = _START.match(re.sub(r"\s+", "", text))
     if match is None:
         raise ValueError(f"cannot parse start pair {text!r}; expected i,j")
     try:
-        return IndexPair(int(match.group(2)), int(match.group(3)))
+        return matchchase.IndexPair(int(match.group(2)), int(match.group(3)))
     except ValueError as exc:
         raise ValueError(f"start pair {text!r}: {exc}") from None
 
@@ -165,6 +171,8 @@ def _paf_lines(e: dict) -> list[str]:
 
 
 def _decompose_entry(text: str, lag: int | None) -> dict:
+    from . import blockform
+
     h = SignSequence.from_text(text)
     if len(h) % 4 != 0:
         raise ValueError(f"length {len(h)} is not divisible by 4")
@@ -196,7 +204,9 @@ def _decompose_lines(e: dict) -> list[str]:
 
 
 def _eqn1_entry(text: str, lag: int | None) -> dict:
-    bs = BlockSequence.from_text(text)
+    from . import blockform
+
+    bs = blockform.BlockSequence.from_text(text)
     if lag is None:
         residuals = [blockform.cancellation_residual(bs, u) for u in range(1, len(bs))]
         return {
@@ -236,6 +246,8 @@ def _eqn1_lines(e: dict) -> list[str]:
 
 def _read_book(path: Path, bs: BlockSequence) -> tuple[MatchingBook, list[str]]:
     """The matching book in a file, and its violations against the block row."""
+    from . import matchchase
+
     text = _read_file(path)
     try:
         book = matchchase.parse_matching_lines(text.splitlines())
@@ -249,7 +261,9 @@ def _read_book(path: Path, bs: BlockSequence) -> tuple[MatchingBook, list[str]]:
 
 
 def _cmd_match(args: argparse.Namespace) -> Report:
-    bs = BlockSequence.from_text(args.blocks)
+    from . import blockform, matchchase
+
+    bs = blockform.BlockSequence.from_text(args.blocks)
     inputs: dict = {"blocks": args.blocks}
     if args.matchings is not None:
         if args.lag is not None:
@@ -340,7 +354,9 @@ def _trace_lines(payload: dict) -> list[str]:
 
 
 def _cmd_chase(args: argparse.Namespace) -> Report:
-    bs = BlockSequence.from_text(args.blocks)
+    from . import blockform, matchchase
+
+    bs = blockform.BlockSequence.from_text(args.blocks)
     if args.matchings is None:
         raise ValueError("chase needs --matchings")
     if args.start is None:
@@ -358,7 +374,8 @@ def _cmd_chase(args: argparse.Namespace) -> Report:
         "matchings": matchchase.render_matching_lines(book),
         "trace": _trace_payload(trace),
     }
-    ok = trace.outcome in (ChaseOutcome.CYCLE, ChaseOutcome.DEGENERATE)
+    outcome = matchchase.ChaseOutcome
+    ok = trace.outcome in (outcome.CYCLE, outcome.DEGENERATE)
     return Report("chase", inputs, result, ok)
 
 
@@ -371,6 +388,8 @@ def _render_chase(r: dict) -> str:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> Report:
+    from . import blockform, matchchase
+
     bs, book, start = matchchase.counterexample()
     even = bs.even_indices()
     symmetric = {i: blockform.is_symmetric_even(bs, i) for i in even}
@@ -394,7 +413,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> Report:
         },
         {
             "name": "chase outcome is Cycle",
-            "pass": trace.outcome is ChaseOutcome.CYCLE,
+            "pass": trace.outcome is matchchase.ChaseOutcome.CYCLE,
             "detail": str(trace.outcome),
         },
     ]
@@ -421,9 +440,11 @@ def _render_counterexample(r: dict) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> Report:
+    from . import searcher
+
     prunes: frozenset[str]
     if args.prune is None:
-        prunes = searcher.ALL_PRUNES
+        prunes = ALL_PRUNES
     elif "none" in args.prune:
         if len(set(args.prune)) > 1:
             raise ValueError("--prune none cannot be combined with other prunes")
@@ -545,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prune",
         action="append",
-        choices=(searcher.PRUNE_ROW_SUM, searcher.PRUNE_PREFIX_PAF, "none"),
+        choices=(PRUNE_ROW_SUM, PRUNE_PREFIX_PAF, "none"),
         help="prune selection; repeatable; default is all prunes",
     )
     p.add_argument(

@@ -251,10 +251,14 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
     seen: set[tuple[int, int]] = set()
     for p, q in m.pairs:
         a, b, c, d = p.first, p.second, q.first, q.second
-        for member, key in ((p, (a, b)), (q, (c, d))):
-            if key in seen:
-                violations.append(f"index pair {member} is matched more than once")
-            seen.add(key)
+        key = (a, b)
+        if key in seen:
+            violations.append(f"index pair {p} is matched more than once")
+        seen.add(key)
+        key = (c, d)
+        if key in seen:
+            violations.append(f"index pair {q} is matched more than once")
+        seen.add(key)
         # both has no bit at 2n or above, so an index out of range fails too
         if not (b == (a + u) % mod and d == (c + u) % mod and both >> a & both >> c & 1):
             violations += _pair_violations(bs, u, p) + _pair_violations(bs, u, q)

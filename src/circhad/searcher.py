@@ -54,13 +54,13 @@ import functools
 import itertools
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 from math import inf, isqrt
 from pathlib import Path
 
-# the block-row enumerators live with the block view; re-exported here
-from .blockform import all_block_sequences, enumerate_block_sequences
+from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM
 from .seqcore import SignSequence, is_circulant_hadamard
 
 __all__ = [
@@ -75,9 +75,16 @@ __all__ = [
     "all_block_sequences",
 ]
 
-PRUNE_ROW_SUM = "row-sum"
-PRUNE_PREFIX_PAF = "prefix-paf"
-ALL_PRUNES = frozenset({PRUNE_ROW_SUM, PRUNE_PREFIX_PAF})
+
+def __getattr__(name: str):
+    """The block-row enumerators live with the block view and are
+    re-exported here; the block view loads when one is first read."""
+    if name in ("all_block_sequences", "enumerate_block_sequences"):
+        from . import blockform
+
+        return getattr(blockform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # shards are the 2^(depth-1) prefixes of this length starting with '+';
 # fixed, because the ledger and the cut counts depend on it
@@ -209,24 +216,32 @@ class _PackedLags:
         W = L.bit_length()
         top = 1 << (W - 1)
 
-        def fields(values) -> int:
-            return sum(v << W * (u - 1) for u, v in values)
+        def unit(u: int) -> int:
+            return 1 << W * (u - 1)
 
-        def settled(u: int, p: int) -> int:
-            return max(0, p - u + 1) + max(0, p + u - L + 1)
-
-        lags = range(1, half + 1)
+        ones = sum(unit(u) for u in range(1, half + 1))
         self.width = W
-        self.guard = fields((u, top) for u in lags)
-        self.upper = fields((u, top - 1 - half) for u in lags)
-        self.balanced = fields((u, half) for u in lags)
-        self.lower = tuple(
-            fields((u, top + half - settled(u, p)) for u in lags) for p in range(L)
-        )
-        # products h[p-u]h[p] and h[p]h[p+u-L] settled by position p
-        self.back = tuple(fields((u, 1) for u in lags if u <= p) for p in range(L))
-        self.wrap = tuple(fields((u, 1) for u in lags if u >= L - p) for p in range(L))
-        self.both = tuple(b + w for b, w in zip(self.back, self.wrap))
+        self.guard = top * ones
+        self.upper = (top - 1 - half) * ones
+        self.balanced = half * ones
+        # products h[p-u]h[p] (lags u <= p) and h[p]h[p+u-L] (lags u >= L-p)
+        # settled by position p; built position by position, since summing
+        # every field afresh at every position costs O(L^3) word operations
+        back, wrap, lower = [], [], []
+        b = w = 0
+        low = (top + half) * ones
+        for p in range(L):
+            if 1 <= p <= half:
+                b += unit(p)
+            if p >= L - half:
+                w += unit(L - p)
+            # lag u has settled(u, p) = settled(u, p - 1) + [u <= p] + [u >= L - p]
+            low -= b + w
+            back.append(b)
+            wrap.append(w)
+            lower.append(low)
+        self.back, self.wrap, self.lower = tuple(back), tuple(wrap), tuple(lower)
+        self.both = tuple(b + w for b, w in zip(back, wrap))
         self.shift = tuple(W * (L - p - 1) for p in range(L))
         self.spread = tuple(1 << W * p if p < half else 0 for p in range(L))
 
@@ -246,15 +261,22 @@ def _minus_ok_table(
     order: int, minus_targets: tuple[int, ...] | None
 ) -> tuple[tuple[bool, ...], ...]:
     """minus_ok[p][m]: with m '-' entries among positions 0..p, some target
-    count of '-' entries is still reachable (always, without row-sum)."""
-    return tuple(
-        tuple(
-            minus_targets is None
-            or any(m <= t <= m + order - p - 1 for t in minus_targets)
-            for m in range(p + 2)
-        )
-        for p in range(order)
-    )
+    count of '-' entries is still reachable (always, without row-sum).
+
+    Target t is reachable when m <= t <= m + (order - p - 1), one run of m
+    per target, so each row is filled by slices rather than test by test.
+    """
+    if minus_targets is None:
+        return tuple((True,) * (p + 2) for p in range(order))
+    table = []
+    for p in range(order):
+        row = [False] * (p + 2)
+        for t in minus_targets:
+            lo, hi = max(0, t - (order - p - 1)), min(p + 1, t)
+            if lo <= hi:
+                row[lo:hi + 1] = (True,) * (hi + 1 - lo)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @functools.lru_cache(maxsize=4)
@@ -346,7 +368,14 @@ def _run_shard(
         else:
             dfs(p + 1, bits | 1 << p, rev | 1, fwd | spread[p], n, minus)
 
-    dfs(len(prefix), bits, rev, fwd, neg, minus)
+    # the walk recurses once per position, so a large order needs more
+    # frames than the default limit allows
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + L)
+    try:
+        dfs(len(prefix), bits, rev, fwd, neg, minus)
+    finally:
+        sys.setrecursionlimit(limit)
     if PRUNE_ROW_SUM in prunes:
         cuts[PRUNE_ROW_SUM] += rowsum_cuts
     if use_paf:

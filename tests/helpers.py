@@ -194,6 +194,42 @@ def reference_search(order: int, prunes) -> tuple[int, dict, tuple]:
     return examined, cuts, tuple(sorted(set(hits + negated)))
 
 
+def reference_packed_lag_tables(L: int) -> tuple[tuple[int, ...], ...]:
+    """(back, wrap, lower), the per-position tables of searcher._PackedLags,
+    from their direct definition with every W-bit field summed afresh:
+    ``back`` and ``wrap`` hold
+    a 1 in field u for each product h[p-u]h[p], resp. h[p]h[p+u-L], settled
+    by position p, and ``lower`` holds 2^(W-1) + L/2 - settled(u, p)."""
+    half = L // 2
+    W = L.bit_length()
+    top = 1 << (W - 1)
+    lags = range(1, half + 1)
+
+    def fields(values) -> int:
+        return sum(v << W * (u - 1) for u, v in values)
+
+    def settled(u: int, p: int) -> int:
+        return max(0, p - u + 1) + max(0, p + u - L + 1)
+
+    return (
+        tuple(fields((u, 1) for u in lags if u <= p) for p in range(L)),
+        tuple(fields((u, 1) for u in lags if u >= L - p) for p in range(L)),
+        tuple(fields((u, top + half - settled(u, p)) for u in lags) for p in range(L)),
+    )
+
+
+def reference_minus_ok_table(L: int, targets) -> tuple[tuple[bool, ...], ...]:
+    """searcher._minus_ok_table by its definition: with m '-' entries among
+    positions 0..p, some target count is still reachable."""
+    return tuple(
+        tuple(
+            targets is None or any(m <= t <= m + L - p - 1 for t in targets)
+            for m in range(p + 2)
+        )
+        for p in range(L)
+    )
+
+
 def reference_ternary_paf(c: list[int], u: int) -> int:
     """Periodic autocorrelation sum(c[k] * c[k + u]) of an integer list, the
     lag taken modulo its length; c may hold any integers, e.g. -1, 0, +1."""

@@ -24,6 +24,7 @@ from circhad.searcher import (
     rowsum_prune_applicable,
     _alternate,
     _alternate_result,
+    _minus_ok_table,
     _minus_targets,
     _PackedLags,
     _run_shard,
@@ -39,6 +40,8 @@ from helpers import (
     all_sign_texts,
     dense_hadamard_ok,
     reference_block_sequences,
+    reference_minus_ok_table,
+    reference_packed_lag_tables,
     reference_residual,
     reference_search,
     time_limit,
@@ -455,6 +458,20 @@ def test_packed_lag_verdict_matches_direct_check(row):
     _check_packed_lags(row)
 
 
+def test_packed_lag_tables_match_direct_definition():
+    # the tables are built one position at a time; the oracle sums every
+    # field of every position afresh
+    for L in range(4, 201):
+        lags = _PackedLags(L)
+        assert (lags.back, lags.wrap, lags.lower) == reference_packed_lag_tables(L), L
+
+
+def test_minus_ok_table_matches_direct_definition():
+    for L in range(4, 101, 4):
+        for targets in (None, _minus_targets(L), (0,), (L,), (1, L - 1)):
+            assert _minus_ok_table(L, targets) == reference_minus_ok_table(L, targets), L
+
+
 def test_packed_leaf_verdict_exhaustive_length_four():
     verdicts = [
         _check_packed_lags([1 if ch == "+" else -1 for ch in text])
@@ -467,6 +484,14 @@ class TestBudgetAndLedger:
     def test_zero_budget_is_incomplete(self):
         report = search(SearchConfig(order=16, budget_seconds=0.0))
         assert report.incomplete
+
+    @pytest.mark.parametrize("order, prunes", [(2000, PAF), (1936, ALL_PRUNES)])
+    def test_budget_holds_at_a_large_order(self, order, prunes):
+        # the shard tables are built inside the budget, and the walk goes
+        # deeper than the interpreter's default recursion limit
+        report = search(SearchConfig(order=order, prunes=prunes, budget_seconds=0.2))
+        assert report.incomplete
+        assert report.elapsed_seconds < 1.5
 
     def test_ledger_resume_reproduces_report(self, tmp_path):
         ledger = tmp_path / "shards.ledger"
