@@ -13,8 +13,9 @@ The library splits into four layers plus a command line frontend:
 
 Layers load on first use: ``import circhad`` loads none of them, and a
 public name such as ``circhad.search`` imports its layer the first time it
-is read (PEP 562).  The prune names are defined here, so that the command
-line can offer them without loading the searcher.
+is read (PEP 562).  _NAMES below is the one list of public names: each
+layer's ``__all__`` is read from it.  The prune names are defined here, so
+that the command line can offer them without loading the searcher.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +24,7 @@ PRUNE_ROW_SUM = "row-sum"
 PRUNE_PREFIX_PAF = "prefix-paf"
 ALL_PRUNES = frozenset({PRUNE_ROW_SUM, PRUNE_PREFIX_PAF})
 
-# the public names of each layer
+# the public names of each layer, the only place they are listed
 _NAMES = {
     "seqcore": (
         "PafSpectrum",

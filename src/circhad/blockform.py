@@ -27,23 +27,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from . import _NAMES
 from .seqcore import SignSequence, _paf_vanishes, _set_bits, _ternary_paf
 
-__all__ = [
-    "Parity",
-    "TwoBlock",
-    "BlockSequence",
-    "SymBlockMatrix",
-    "block_decompose",
-    "recompose",
-    "even_count",
-    "block_product",
-    "cancellation_residual",
-    "cancellation_holds",
-    "is_symmetric_even",
-    "all_block_sequences",
-    "enumerate_block_sequences",
-]
+__all__ = [*_NAMES["blockform"]]
 
 _SIGNS = (1, -1)
 
@@ -144,19 +131,10 @@ class BlockSequence:
         self._even, self._minus = self._compression(self._count, self._bits)
 
     @classmethod
-    def _make(cls, count: int, bits: int) -> "BlockSequence":
-        """Trusted constructor: the caller guarantees an even count of at
-        least 2 and a packed row of 2 * count bits."""
-        bs = cls.__new__(cls)
-        bs._count = count
-        bs._bits = bits
-        bs._even, bs._minus = cls._compression(count, bits)
-        return bs
-
-    @classmethod
     def _with_masks(cls, count: int, bits: int, even: int, minus: int) -> "BlockSequence":
-        """Trusted constructor for a caller that also has the row's
-        compression, (even, minus) as _compression gives it."""
+        """Trusted constructor: the caller guarantees an even count of at
+        least 2, a packed row of 2 * count bits and its compression,
+        (even, minus) as _compression gives it."""
         bs = cls.__new__(cls)
         bs._count = count
         bs._bits = bits
@@ -227,7 +205,8 @@ def block_decompose(h: SignSequence) -> BlockSequence:
     L = len(h)
     if L % 4 != 0:
         raise ValueError(f"sequence length {L} is not divisible by 4")
-    return BlockSequence._make(L // 2, h.bits)
+    count, bits = L // 2, h.bits
+    return BlockSequence._with_masks(count, bits, *BlockSequence._compression(count, bits))
 
 
 def recompose(bs: BlockSequence) -> SignSequence:

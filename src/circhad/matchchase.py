@@ -24,15 +24,15 @@ Matchings are read from the lag masks of the block sequence's compression
 even pairs at lag u and ``flips`` those whose product is -2J, so two even
 pairs negate exactly when one of them flips.  One per-lag routine,
 _lag_pairs, pairs them off by walking the set bits of the two masks;
-find_matching wraps its result, and find_book builds every lag's matching
-and the book's partner table from it in one pass over the lags.
+find_matching wraps its result, and find_book hands every nonempty one to
+MatchingBook.
 
-A lag matching and a matching book each keep a partner table, so the chase
-looks partners up instead of scanning.  A book also keeps a step table with
-the same (lag, first, second) keys, filled as chases visit obligations:
-each ChaseStep is built the first time any chase on the book meets its
-obligation and shared by every later trace, so chasing from every start
-of a row builds each step once.
+Only the book keeps a partner table, which MatchingBook.__init__ builds,
+so the chase looks partners up instead of scanning.  A book also keeps a
+step table with the same (lag, first, second) keys, filled as chases
+visit obligations: each ChaseStep is built the first time any chase on
+the book meets its obligation and shared by every later trace, so chasing
+from every start of a row builds each step once.
 """
 
 from __future__ import annotations
@@ -40,30 +40,14 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from . import _NAMES
 from .blockform import BlockSequence, _normalized_lag, block_product
 from .seqcore import _lag_masks, _set_bits
 
-__all__ = [
-    "IndexPair",
-    "LagMatching",
-    "MatchingBook",
-    "ValidationReport",
-    "ChaseOutcome",
-    "ChaseStep",
-    "ChaseTrace",
-    "validate_matching",
-    "even_pairs_at_lag",
-    "find_matching",
-    "find_book",
-    "chase",
-    "counterexample",
-    "Counterexample",
-    "parse_matching_lines",
-    "render_matching_lines",
-]
+__all__ = [*_NAMES["matchchase"]]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -118,18 +102,6 @@ class LagMatching:
             canonical.append((min(p, q), max(p, q)))
         return cls(lag, tuple(sorted(canonical)))
 
-    @cached_property
-    def _partners(self) -> dict[IndexPair, IndexPair]:
-        # setdefault keeps the first occurrence, as a scan of pairs would
-        table: dict[IndexPair, IndexPair] = {}
-        for p, q in self.pairs:
-            table.setdefault(p, q)
-            table.setdefault(q, p)
-        return table
-
-    def partner_of(self, pair: IndexPair) -> IndexPair | None:
-        return self._partners.get(pair)
-
     def index_pairs(self) -> tuple[IndexPair, ...]:
         return tuple(x for two in self.pairs for x in two)
 
@@ -164,18 +136,6 @@ class MatchingBook:
         self._by_lag = by_lag
         self._partners = partners
         self._steps: dict[tuple[int, int, int], ChaseStep] = {}
-
-    @classmethod
-    def _trusted(
-        cls, by_lag: dict[int, LagMatching], partners: dict[tuple[int, int, int], IndexPair]
-    ) -> "MatchingBook":
-        """Trusted constructor: the caller built partners from by_lag as
-        __init__ would."""
-        book = cls.__new__(cls)
-        book._by_lag = by_lag
-        book._partners = partners
-        book._steps = {}
-        return book
 
     def lags(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_lag))
@@ -319,22 +279,9 @@ def find_matching(bs: BlockSequence, u: int) -> LagMatching:
 
 
 def find_book(bs: BlockSequence) -> MatchingBook:
-    """find_matching at every nonzero lag, keeping the nonempty results.
-
-    The matchings and the book's partner table come from one pass over the
-    lags; the pairs of one matching are disjoint, so each partner entry is
-    its first occurrence, as MatchingBook's own table keeps it.
-    """
-    by_lag: dict[int, LagMatching] = {}
-    partners: dict[tuple[int, int, int], IndexPair] = {}
-    for u in range(1, bs._count):
-        pairs = _lag_pairs(bs, u)
-        if pairs:
-            by_lag[u] = LagMatching(u, tuple(pairs))
-            for p, q in pairs:
-                partners[u, p.first, p.second] = q
-                partners[u, q.first, q.second] = p
-    return MatchingBook._trusted(by_lag, partners)
+    """find_matching at every nonzero lag, keeping the nonempty results."""
+    found = ((u, _lag_pairs(bs, u)) for u in range(1, bs._count))
+    return MatchingBook(LagMatching(u, tuple(pairs)) for u, pairs in found if pairs)
 
 
 class ChaseOutcome(enum.Enum):

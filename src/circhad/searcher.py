@@ -17,6 +17,10 @@ optional prunes cut branches:
   over the L/2 lags.  The state is passed down the recursion; nothing is
   undone on the way back.
 
+The per-position tables of both prunes are built once per search, before
+any shard is walked, and every shard reads them; they are freed with the
+search.
+
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
 on the worker count, so reports are identical however the shards are
@@ -50,7 +54,6 @@ RuntimeError rather than report its shard.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import json
 import os
@@ -60,30 +63,10 @@ from dataclasses import dataclass
 from math import inf, isqrt
 from pathlib import Path
 
-from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM
+from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM, _NAMES
 from .seqcore import SignSequence, is_circulant_hadamard
 
-__all__ = [
-    "PRUNE_ROW_SUM",
-    "PRUNE_PREFIX_PAF",
-    "ALL_PRUNES",
-    "SearchConfig",
-    "SearchReport",
-    "search",
-    "rowsum_prune_applicable",
-    "enumerate_block_sequences",
-    "all_block_sequences",
-]
-
-
-def __getattr__(name: str):
-    """The block-row enumerators live with the block view and are
-    re-exported here; the block view loads when one is first read."""
-    if name in ("all_block_sequences", "enumerate_block_sequences"):
-        from . import blockform
-
-        return getattr(blockform, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [*_NAMES["searcher"]]
 
 
 # shards are the 2^(depth-1) prefixes of this length starting with '+';
@@ -93,6 +76,11 @@ _SHARD_DEPTH_CAP = 6
 _DEADLINE_POLL = 4096
 # bytes in a key index on the task pipe of _walk
 _WIDTH = 2
+
+
+def _check_order(order: int) -> None:
+    if order < 4 or order % 4 != 0:
+        raise ValueError(f"order must be a positive multiple of 4, got {order}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +93,7 @@ class SearchConfig:
     ledger_path: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.order < 4 or self.order % 4 != 0:
-            raise ValueError(f"order must be a positive multiple of 4, got {self.order}")
+        _check_order(self.order)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         unknown = set(self.prunes) - ALL_PRUNES
@@ -162,8 +149,7 @@ class SearchReport:
 def rowsum_prune_applicable(order: int) -> bool:
     """True when the order is rejected outright: (row sum)^2 = L forces L
     to be a perfect square, so non-squares admit no solutions at all."""
-    if order <= 0 or order % 4 != 0:
-        raise ValueError(f"order must be a positive multiple of 4, got {order}")
+    _check_order(order)
     return isqrt(order) ** 2 != order
 
 
@@ -279,20 +265,12 @@ def _minus_ok_table(
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=4)
-def _shard_tables(
-    order: int, minus_targets: tuple[int, ...] | None
-) -> tuple[_PackedLags, tuple[tuple[bool, ...], ...]]:
-    """The read-only tables every shard of one search shares, built once
-    per (order, row-sum targets)."""
-    return _PackedLags(order), _minus_ok_table(order, minus_targets)
-
-
 def _run_shard(
     order: int,
     prefix: str,
     prunes: frozenset[str],
-    minus_targets: tuple[int, ...] | None,
+    lags: _PackedLags,
+    minus_ok: tuple[tuple[bool, ...], ...],
     deadline: float | None,
 ) -> _ShardResult:
     L = order
@@ -301,7 +279,6 @@ def _run_shard(
     if deadline is not None and time.monotonic() > deadline:
         return _ShardResult(prefix, False, 0, cuts, ())
 
-    lags, minus_ok = _shard_tables(L, minus_targets)
     # the prefix is settled one position at a time with the same checks,
     # in the same order, as a node of the tree; a cut ends the shard
     bits = rev = fwd = neg = minus = 0
@@ -506,8 +483,9 @@ class _ShardLedger:
     been fully traversed.  The header pins order and prune selection so a
     ledger cannot silently be reused across configurations.  A malformed
     record is refused with a ValueError naming the file and the line; so is
-    a record of a prefix that is not a shard of this search, and a hit
-    outside its shard or failing the predicate.
+    a record of a prefix that is not a shard of this search, a hit outside
+    its shard or failing the predicate, and a hit or done line for a shard
+    that already has a done line.
 
     record() only ever appends a shard's whole record, its hit lines and
     its done line, in one write.  So a final line without its newline is a
@@ -571,16 +549,18 @@ class _ShardLedger:
                 prefix, status, fields = tokens[0], tokens[1], tokens[2:]
                 if prefix not in self.prefixes:
                     raise ValueError(f"{prefix!r} is not a shard prefix of this search")
+                if status not in ("hit", "done"):
+                    raise ValueError(f"unknown status {status!r}")
+                if prefix in self.recorded:
+                    raise ValueError(f"shard {prefix!r} is recorded twice")
                 if status == "hit":
                     pending_hits.setdefault(prefix, []).append(self._parse_hit(prefix, fields))
-                elif status == "done":
+                else:
                     examined, cuts = self._parse_done(fields)
                     self.recorded[prefix] = _ShardResult(
-                        prefix, True, examined, cuts, tuple(pending_hits.get(prefix, ()))
+                        prefix, True, examined, cuts, tuple(pending_hits.pop(prefix, ()))
                     )
                     kept = end
-                else:
-                    raise ValueError(f"unknown status {status!r}")
             except ValueError as exc:
                 raise ValueError(f"ledger {self.path} line {number}: {exc}") from None
         return kept
@@ -667,7 +647,6 @@ def search(cfg: SearchConfig) -> SearchReport:
         elapsed = time.perf_counter() - started
         return _build_report(cfg, 0, [], cuts_total, False, elapsed)
 
-    targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
     prefixes = _shard_prefixes(cfg.order)
     mirror = PRUNE_ROW_SUM not in cfg.prunes
     ledger = None
@@ -696,11 +675,13 @@ def search(cfg: SearchConfig) -> SearchReport:
     if cfg.budget_seconds is not None:
         deadline = time.monotonic() + cfg.budget_seconds
 
-    # built before any child forks, so the children inherit the tables
-    _shard_tables(cfg.order, targets)
+    # built once, before any child forks, so the children inherit them
+    targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
+    lags = _PackedLags(cfg.order)
+    minus_ok = _minus_ok_table(cfg.order, targets)
 
     def walk(prefix: str) -> _ShardResult:
-        return _run_shard(cfg.order, prefix, cfg.prunes, targets, deadline)
+        return _run_shard(cfg.order, prefix, cfg.prunes, lags, minus_ok, deadline)
 
     _walk(walk, walks, cfg.workers, settle)
     missing = [p for p in prefixes if p not in results]

@@ -20,15 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-__all__ = [
-    "SignSequence",
-    "PafSpectrum",
-    "paf",
-    "paf_spectrum",
-    "is_circulant_hadamard",
-    "circulant_row",
-    "circulant_matrix",
-]
+from . import _NAMES
+
+__all__ = [*_NAMES["seqcore"]]
 
 
 class SignSequence:

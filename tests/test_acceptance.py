@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 
 from circhad.blockform import (
+    all_block_sequences,
     block_decompose,
     cancellation_residual,
     even_count,
@@ -18,7 +19,7 @@ from circhad.blockform import (
 )
 from circhad.cli import main as cli_main
 from circhad.matchchase import IndexPair, chase, even_pairs_at_lag, find_book, find_matching
-from circhad.searcher import SearchConfig, all_block_sequences, search
+from circhad.searcher import SearchConfig, search
 from circhad.seqcore import SignSequence, paf, paf_spectrum
 
 from helpers import (

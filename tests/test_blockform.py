@@ -10,6 +10,7 @@ from circhad.blockform import (
     SymBlockMatrix,
     TwoBlock,
     _residual,
+    all_block_sequences,
     block_decompose,
     block_product,
     cancellation_holds,
@@ -18,7 +19,6 @@ from circhad.blockform import (
     is_symmetric_even,
     recompose,
 )
-from circhad.searcher import all_block_sequences
 from circhad.seqcore import SignSequence, paf
 
 from helpers import (

@@ -409,6 +409,17 @@ class TestSearchCommand:
         assert out == ""
         assert f"ledger {ledger} line 3: shard prefix with no status" in err
 
+    def test_shard_recorded_twice_exit_two(self, capsys, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        argv = ("search", "--order", "4", "--prune", "prefix-paf", "--ledger", str(ledger))
+        assert run(capsys, *argv)[0] == 0
+        with ledger.open("a") as handle:
+            handle.write("+--+ done examined=7 prefix-paf=0\n")
+        line = len(ledger.read_text().splitlines())
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: ledger {ledger} line {line}: shard '+--+' is recorded twice\n"
+
     def test_ledger_path_is_directory_exit_two(self, capsys, tmp_path):
         code, out, err = run(capsys, "search", "--order", "16", "--ledger", str(tmp_path))
         assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 from circhad.blockform import (
     BlockSequence,
     TwoBlock,
+    all_block_sequences,
     cancellation_residual,
     is_symmetric_even,
 )
@@ -25,7 +26,6 @@ from circhad.matchchase import (
     render_matching_lines,
     validate_matching,
 )
-from circhad.searcher import all_block_sequences
 
 from helpers import (
     random_sign_text,
@@ -68,9 +68,10 @@ class TestLagMatching:
         a = LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
         b = LagMatching.of(2, [(pair(2, 4), pair(0, 2))])
         assert a == b
-        assert a.partner_of(pair(0, 2)) == pair(2, 4)
-        assert a.partner_of(pair(2, 4)) == pair(0, 2)
-        assert a.partner_of(pair(4, 0)) is None
+        book = MatchingBook([a])
+        assert book.partner_of(pair(0, 2), 6) == pair(2, 4)
+        assert book.partner_of(pair(2, 4), 6) == pair(0, 2)
+        assert book.partner_of(pair(4, 0), 6) is None
 
     def test_reuse_rejected(self):
         with pytest.raises(ValueError):
@@ -146,7 +147,7 @@ class TestFindMatching:
         m = find_matching(bs, 2)
         assert m.pairs == ((pair(0, 2), pair(2, 4)),)
         assert pair(4, 0) in even_pairs_at_lag(bs, 2)
-        assert m.partner_of(pair(4, 0)) is None
+        assert MatchingBook([m]).partner_of(pair(4, 0), 6) is None
 
     def test_no_even_blocks(self):
         m = find_matching(blocks("+-,-+,+-,-+"), 1)
@@ -238,14 +239,12 @@ class TestReferenceEquivalence:
         m = LagMatching(2, tuple((pair(*p), pair(*q)) for p, q in pairs))
         book = MatchingBook([m])
         for p, q in expected.items():
-            assert m.partner_of(pair(*p)) == pair(*q)
             assert book.partner_of(pair(*p), 6) == pair(*q)
-        assert m.partner_of(pair(1, 3)) is None
         assert book.partner_of(pair(1, 3), 6) is None
 
     def test_partner_table_is_not_a_field(self):
         m = LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
-        assert m.partner_of(pair(0, 2)) == pair(2, 4)
+        assert MatchingBook([m]).partner_of(pair(0, 2), 6) == pair(2, 4)
         assert m == LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
         assert asdict(m) == {"lag": 2, "pairs": (({"first": 0, "second": 2}, {"first": 2, "second": 4}),)}
 

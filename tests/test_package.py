@@ -1,6 +1,7 @@
 """The package surface: public names resolve on first use, and each
 subcommand loads only the layers it runs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 import circhad
 from circhad import blockform, matchchase, searcher, seqcore
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 LAYERS = (seqcore, blockform, matchchase, searcher)
 BLOCKS = "++,+-,--,+-,--,+-"
 
@@ -67,8 +69,13 @@ def test_import_loads_no_layer():
 
 
 def test_public_names_are_the_layers_public_names():
-    assert sorted(circhad.__all__) == sorted({n for layer in LAYERS for n in layer.__all__})
+    prunes = ["ALL_PRUNES", "PRUNE_PREFIX_PAF", "PRUNE_ROW_SUM"]
+    assert circhad.__all__ == prunes + [n for names in circhad._NAMES.values() for n in names]
     assert len(circhad.__all__) == len(set(circhad.__all__))
+    layers = {layer.__name__.removeprefix("circhad."): layer for layer in LAYERS}
+    assert circhad._NAMES.keys() == layers.keys()
+    for name, layer in layers.items():
+        assert layer.__all__ == list(circhad._NAMES[name])
 
 
 @pytest.mark.parametrize("name", circhad.__all__)
@@ -83,9 +90,26 @@ def test_public_name_resolves_to_its_definition(name):
     assert name in dir(circhad)
 
 
-def test_searcher_reexports_the_block_row_enumerators():
-    for name in ("all_block_sequences", "enumerate_block_sequences"):
-        assert getattr(searcher, name) is getattr(blockform, name)
+def _package_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "circhad" and not node.level
+        for alias in node.names
+    ]
+
+
+SCRIPTS = sorted([*ROOT.glob("benchmarks/*.py"), *ROOT.glob("demos/*.py")])
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS])
+def test_scripts_import_only_public_names(path):
+    # read, not run: every name a benchmark or demo takes from circhad
+    # must still be a public name of the package
+    for name in _package_imports(path):
+        assert name in circhad.__all__, f"{path.name} imports {name}"
+        assert hasattr(circhad, name), f"{path.name} imports {name}"
 
 
 @pytest.mark.parametrize("module", [circhad, searcher], ids=["circhad", "searcher"])

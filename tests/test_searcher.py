@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 from circhad import searcher
 from circhad.blockform import (
     BlockSequence,
+    all_block_sequences,
     block_decompose,
     cancellation_holds,
+    enumerate_block_sequences,
     even_count,
     is_symmetric_even,
 )
@@ -19,8 +21,6 @@ from circhad.matchchase import counterexample
 from circhad.searcher import (
     ALL_PRUNES,
     SearchConfig,
-    all_block_sequences,
-    enumerate_block_sequences,
     rowsum_prune_applicable,
     _alternate,
     _alternate_result,
@@ -29,7 +29,6 @@ from circhad.searcher import (
     _PackedLags,
     _run_shard,
     _shard_prefixes,
-    _shard_tables,
     _ShardResult,
     search,
 )
@@ -140,18 +139,23 @@ class TestSearchResults:
         assert all(r.canonical_json() == first for r in reports[1:])
 
     @time_limit(SEARCH_SECONDS)
-    def test_shard_tables_built_once_per_search(self):
-        _shard_tables.cache_clear()
-        # the parent builds the tables before any child forks
-        search(SearchConfig(order=16, workers=2))
-        assert _shard_tables.cache_info().misses == 1
-        # every shard walked in-process reuses them: all 32 with row-sum,
-        # the 16 with '+' at position 1 without it, which has tables of its own
-        for prunes, misses, hits in ((ALL_PRUNES, 1, 1 + 32), (PAF, 2, 16)):
-            before = _shard_tables.cache_info().hits
-            search(SearchConfig(order=16, prunes=prunes))
-            info = _shard_tables.cache_info()
-            assert (info.misses, info.hits - before) == (misses, hits)
+    def test_shard_tables_built_once_per_search(self, monkeypatch):
+        built = []
+
+        class Counted(_PackedLags):
+            def __init__(self, order):
+                built.append(order)
+                super().__init__(order)
+
+        monkeypatch.setattr(searcher, "_PackedLags", Counted)
+        # one build before any child forks; a build per shard would show
+        # here too, since the calling process also walks shards
+        for workers in (1, 2):
+            for prunes in (ALL_PRUNES, PAF):
+                built.clear()
+                report = search(SearchConfig(order=16, prunes=prunes, workers=workers))
+                assert report.sequences_examined == 0
+                assert built == [16]
 
     @staticmethod
     def count_forks(monkeypatch, limit=None):
@@ -352,9 +356,10 @@ class TestWhatIsCut:
 
 class TestAlternation:
     @staticmethod
-    def walk(order, prefix, prunes):
+    def walk(order, prefix, prunes, deadline=None):
         targets = _minus_targets(order) if "row-sum" in prunes else None
-        return _run_shard(order, prefix, prunes, targets, None)
+        tables = _PackedLags(order), _minus_ok_table(order, targets)
+        return _run_shard(order, prefix, prunes, *tables, deadline)
 
     @given(st.data())
     @settings(deadline=None)
@@ -396,7 +401,7 @@ class TestAlternation:
         assert (partner.examined, partner.cuts) == (240, {"row-sum": 440})
 
     def test_aborted_shard_gives_unstarted_partner(self):
-        aborted = _run_shard(16, "++++++", PAF, None, 0.0)
+        aborted = self.walk(16, "++++++", PAF, deadline=0.0)
         assert not aborted.completed
         partner = _alternate_result(aborted)
         assert partner == _ShardResult("+-+-+-", False, 0, {"prefix-paf": 0}, ())
@@ -585,6 +590,22 @@ class TestBudgetAndLedger:
             search(SearchConfig(order=16, ledger_path=ledger))
         assert ledger.read_bytes() == b"not a ledger"
 
+    @pytest.mark.parametrize(
+        "record", ["+--+ done examined=7 prefix-paf=0", "+--- hit +---"], ids=["done", "hit"]
+    )
+    def test_shard_recorded_twice_refused(self, tmp_path, record):
+        # search() never records a shard twice, so only a damaged ledger
+        # does; a resume must not add the second record to the first
+        ledger = tmp_path / "shards.ledger"
+        search(SearchConfig(order=4, prunes=PAF, ledger_path=ledger))
+        damaged = ledger.read_bytes() + record.encode() + b"\n"
+        ledger.write_bytes(damaged)
+        line = damaged.count(b"\n")
+        prefix = record.split()[0]
+        with pytest.raises(ValueError) as refused:
+            search(SearchConfig(order=4, prunes=PAF, ledger_path=ledger))
+        assert str(refused.value) == f"ledger {ledger} line {line}: shard '{prefix}' is recorded twice"
+        assert ledger.read_bytes() == damaged
 
     @pytest.mark.parametrize(
         "record",
