@@ -295,7 +295,6 @@ def test_warm_step_table_matches_reference(row, other):
         found = [find_matching(bs, u) for u in range(1, mod)]
         book = find_book(bs)
         assert book == MatchingBook(m for m in found if m.pairs)
-        assert book._partners == MatchingBook(book.matchings())._partners
         for rows in (bs, companion):
             for start in chase_starts(rows):
                 assert chase(rows, book, start) == reference_chase(rows, book, start)
