@@ -4,6 +4,10 @@ Every subcommand emits one report, as aligned text or as a single JSON
 document (--format json).  Exit codes are uniform: 0 when the command
 succeeded and its checked property holds, 1 when the property fails or a
 search came back incomplete, 2 on usage or parse errors.
+
+Each subcommand's handler returns (inputs, result, ok): the JSON document is
+{"command", "inputs", "result", "ok"} with those values, and the text report
+renders the result alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -25,18 +28,6 @@ from .seqcore import SignSequence, is_circulant_hadamard, paf, paf_spectrum
 if TYPE_CHECKING:
     from .blockform import BlockSequence, SymBlockMatrix
     from .matchchase import ChaseTrace, IndexPair, MatchingBook
-
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    result: object
-    ok: bool
-
-
-def render_json(report: Report) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +78,7 @@ def _run_instances(
     entry: Callable[[str, int | None], dict],
     holds: Callable[[dict], bool],
     args: argparse.Namespace,
-) -> Report:
+) -> tuple[dict, object, bool]:
     """One entry from the positional argument, or a list of one per line of
     --file; the report holds when every entry does.  An error on a line of
     the file names the file and the line's number in it."""
@@ -120,7 +111,7 @@ def _run_instances(
         except ValueError as exc:
             raise ValueError(f"{where}{exc}") from exc
     result = entries if args.file is not None else entries[0]
-    return Report(args.command, inputs, result, all(holds(e) for e in entries))
+    return inputs, result, all(holds(e) for e in entries)
 
 
 def _render_instances(
@@ -260,7 +251,7 @@ def _read_book(path: Path, bs: BlockSequence) -> tuple[MatchingBook, list[str]]:
     return book, problems
 
 
-def _cmd_match(args: argparse.Namespace) -> Report:
+def _cmd_match(args: argparse.Namespace) -> tuple[dict, object, bool]:
     from . import blockform, matchchase
 
     bs = blockform.BlockSequence.from_text(args.blocks)
@@ -276,7 +267,7 @@ def _cmd_match(args: argparse.Namespace) -> Report:
             "violations": violations,
             "valid": not violations,
         }
-        return Report("match", inputs, result, not violations)
+        return inputs, result, not violations
 
     lags = [args.lag] if args.lag is not None else list(range(1, len(bs)))
     per_lag = []
@@ -297,7 +288,7 @@ def _cmd_match(args: argparse.Namespace) -> Report:
     if args.lag is not None:
         inputs["lag"] = args.lag
     result = {"blocks": bs.text, "lags": per_lag, "all_perfect": all(x["perfect"] for x in per_lag)}
-    return Report("match", inputs, result, result["all_perfect"])
+    return inputs, result, result["all_perfect"]
 
 
 def _render_match(r: dict) -> str:
@@ -323,16 +314,29 @@ def _render_match(r: dict) -> str:
     return "\n".join(lines)
 
 
-def _trace_payload(trace: ChaseTrace) -> dict:
+def _chase_doc(bs: BlockSequence, book: MatchingBook, start: IndexPair, trace: ChaseTrace) -> dict:
+    """The fields chase and counterexample share: the block row, the book,
+    the start and the trace of the chase from it."""
+    from . import matchchase
+
     return {
-        "steps": [
-            {"obligation": _pair(s.obligation), "matched": _pair(s.matched)}
-            for s in trace.steps
-        ],
-        "outcome": str(trace.outcome),
-        "repeat": _pair(trace.repeat),
-        "successful_steps": trace.successful_steps(),
+        "blocks": bs.text,
+        "start": _pair(start),
+        "matchings": matchchase.render_matching_lines(book),
+        "trace": {
+            "steps": [
+                {"obligation": _pair(s.obligation), "matched": _pair(s.matched)}
+                for s in trace.steps
+            ],
+            "outcome": str(trace.outcome),
+            "repeat": _pair(trace.repeat),
+            "successful_steps": trace.successful_steps(),
+        },
     }
+
+
+def _chase_head(r: dict) -> list[str]:
+    return [f"blocks : {r['blocks']}", "matchings:", *(f"  {line}" for line in r["matchings"])]
 
 
 def _trace_lines(payload: dict) -> list[str]:
@@ -353,7 +357,7 @@ def _trace_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_chase(args: argparse.Namespace) -> Report:
+def _cmd_chase(args: argparse.Namespace) -> tuple[dict, object, bool]:
     from . import blockform, matchchase
 
     bs = blockform.BlockSequence.from_text(args.blocks)
@@ -368,26 +372,19 @@ def _cmd_chase(args: argparse.Namespace) -> Report:
         raise ValueError(f"{path}: invalid matchings\n" + "\n".join(problems))
     start = _parse_start(args.start)
     trace = matchchase.chase(bs, book, start)
-    result = {
-        "blocks": bs.text,
-        "start": _pair(start),
-        "matchings": matchchase.render_matching_lines(book),
-        "trace": _trace_payload(trace),
-    }
     outcome = matchchase.ChaseOutcome
     ok = trace.outcome in (outcome.CYCLE, outcome.DEGENERATE)
-    return Report("chase", inputs, result, ok)
+    return inputs, _chase_doc(bs, book, start, trace), ok
 
 
 def _render_chase(r: dict) -> str:
-    lines = [f"blocks : {r['blocks']}", "matchings:"]
-    lines += [f"  {line}" for line in r["matchings"]]
+    lines = _chase_head(r)
     lines.append(f"start  : ({r['start'][0]},{r['start'][1]})")
     lines += _trace_lines(r["trace"])
     return "\n".join(lines)
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> Report:
+def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, object, bool]:
     from . import blockform, matchchase
 
     bs, book, start = matchchase.counterexample()
@@ -417,20 +414,12 @@ def _cmd_counterexample(args: argparse.Namespace) -> Report:
             "detail": str(trace.outcome),
         },
     ]
-    result = {
-        "blocks": bs.text,
-        "start": _pair(start),
-        "matchings": matchchase.render_matching_lines(book),
-        "even_indices": list(even),
-        "checks": checks,
-        "trace": _trace_payload(trace),
-    }
-    return Report("counterexample", {}, result, all(c["pass"] for c in checks))
+    result = {**_chase_doc(bs, book, start, trace), "even_indices": list(even), "checks": checks}
+    return {}, result, all(c["pass"] for c in checks)
 
 
 def _render_counterexample(r: dict) -> str:
-    lines = [f"blocks : {r['blocks']}", "matchings:"]
-    lines += [f"  {line}" for line in r["matchings"]]
+    lines = _chase_head(r)
     width = max(len(c["name"]) for c in r["checks"])
     for c in r["checks"]:
         lines.append(f"check {c['name']:<{width}} : {'pass' if c['pass'] else 'FAIL'}")
@@ -439,7 +428,7 @@ def _render_counterexample(r: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_search(args: argparse.Namespace) -> Report:
+def _cmd_search(args: argparse.Namespace) -> tuple[dict, object, bool]:
     from . import searcher
 
     prunes: frozenset[str]
@@ -470,7 +459,7 @@ def _cmd_search(args: argparse.Namespace) -> Report:
         inputs["budget_seconds"] = args.budget_seconds
     if args.ledger is not None:
         inputs["ledger"] = args.ledger
-    return Report("search", inputs, report.to_dict(), not report.incomplete)
+    return inputs, report.to_dict(), not report.incomplete
 
 
 def _render_search(r: dict) -> str:
@@ -592,15 +581,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.handler(args)
+        inputs, result, ok = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(render_json(report))
+        doc = {"command": args.command, "inputs": inputs, "result": result, "ok": ok}
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        print(args.render(report.result))
-    return 0 if report.ok else 1
+        print(args.render(result))
+    return 0 if ok else 1
 
 
 def entrypoint() -> None:

@@ -31,6 +31,13 @@ the ledger and the cut counts.  An optional append-only ledger file records
 finished shards (and any sequences they found), in prefix order for any
 worker count, so an interrupted search can be resumed.
 
+A budget stops a shard in one place.  The deadline is read when the shard
+starts and then every _DEADLINE_POLL tree nodes; a read past it raises
+_Stop, and the one handler in _run_shard returns the counts reached so far
+(zeros for a shard that never started) with completed False.  The ledger
+records only completed shards, so a resume walks a stopped shard again from
+its start.
+
 Alternation.  For a row h of even order L, let alt(h)_k = (-1)^k h_k.  Each
 product h_k h_{k+u mod L} changes by the same sign (-1)^u, since k and
 k+u mod L differ in parity by u.  So every settled partial sum keeps its
@@ -165,13 +172,12 @@ def _shard_prefixes(order: int) -> tuple[str, ...]:
     )
 
 
-@dataclass
-class _ShardResult:
-    prefix: str
-    completed: bool
-    examined: int
-    cuts: dict[str, int]
-    hits: tuple[str, ...]
+# one shard's record, as a walk returns it and a worker pickles it
+_ShardResult = collections.namedtuple("_ShardResult", "prefix completed examined cuts hits")
+
+
+class _Stop(Exception):
+    """The budget deadline has passed; raised inside a shard's walk."""
 
 
 class _PackedLags:
@@ -275,36 +281,16 @@ def _run_shard(
 ) -> _ShardResult:
     L = order
     use_paf = PRUNE_PREFIX_PAF in prunes
-    cuts = {name: 0 for name in sorted(prunes)}
-    if deadline is not None and time.monotonic() > deadline:
-        return _ShardResult(prefix, False, 0, cuts, ())
-
-    # the prefix is settled one position at a time with the same checks,
-    # in the same order, as a node of the tree; a cut ends the shard
-    bits = rev = fwd = neg = minus = 0
-    for p, ch in enumerate(prefix):
-        bit = 1 if ch == "-" else 0
-        bits |= bit << p
-        minus += bit
-        rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
-        if not minus_ok[p][minus]:
-            cuts[PRUNE_ROW_SUM] += 1
-            return _ShardResult(prefix, True, 0, cuts, ())
-        if use_paf and lags.cut(p, neg):
-            cuts[PRUNE_PREFIX_PAF] += 1
-            return _ShardResult(prefix, True, 0, cuts, ())
-
     W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
     lower, back, wrap, both = lags.lower, lags.back, lags.wrap, lags.both
     shift, spread = lags.shift, lags.spread
     examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
-    aborted = False
     poll = _DEADLINE_POLL
 
     # _PackedLags.settle and .cut inlined: this is the hot loop
     def dfs(p: int, bits: int, rev: int, fwd: int, neg: int, minus: int) -> None:
-        nonlocal examined, rowsum_cuts, paf_cuts, aborted, poll
+        nonlocal examined, rowsum_cuts, paf_cuts, poll
         if p == L:
             examined += 1
             # only a row whose counters all read L/2 can be a hit; the
@@ -318,8 +304,7 @@ def _run_shard(
         if not poll:
             poll = _DEADLINE_POLL
             if deadline is not None and time.monotonic() > deadline:
-                aborted = True
-                return
+                raise _Stop
         inc = (rev & back[p]) + ((fwd << shift[p]) & wrap[p])
         ok = minus_ok[p]
         lo = lower[p]
@@ -333,8 +318,6 @@ def _run_shard(
             paf_cuts += 1
         else:
             dfs(p + 1, bits, rev, fwd, n, minus)
-            if aborted:
-                return
         # h[p] = -1: the complementary products are -1
         n = neg + both[p] - inc
         minus += 1
@@ -350,14 +333,32 @@ def _run_shard(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + L)
     try:
-        dfs(len(prefix), bits, rev, fwd, neg, minus)
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stop
+        # the prefix is settled one position at a time with the same checks,
+        # in the same order, as a node of the tree; a cut ends the shard
+        bits = rev = fwd = neg = minus = 0
+        for p, ch in enumerate(prefix):
+            bit = 1 if ch == "-" else 0
+            bits |= bit << p
+            minus += bit
+            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+            if not minus_ok[p][minus]:
+                rowsum_cuts += 1
+                break
+            if use_paf and lags.cut(p, neg):
+                paf_cuts += 1
+                break
+        else:
+            dfs(len(prefix), bits, rev, fwd, neg, minus)
+        completed = True
+    except _Stop:
+        completed = False
     finally:
         sys.setrecursionlimit(limit)
-    if PRUNE_ROW_SUM in prunes:
-        cuts[PRUNE_ROW_SUM] += rowsum_cuts
-    if use_paf:
-        cuts[PRUNE_PREFIX_PAF] += paf_cuts
-    return _ShardResult(prefix, not aborted, examined, cuts, tuple(hits))
+    counts = {PRUNE_ROW_SUM: rowsum_cuts, PRUNE_PREFIX_PAF: paf_cuts}
+    cuts = {name: counts[name] for name in sorted(prunes)}
+    return _ShardResult(prefix, completed, examined, cuts, tuple(hits))
 
 
 _FLIP = str.maketrans("+-", "-+")
@@ -373,7 +374,7 @@ def _alternate(text: str) -> str:
 def _alternate_result(result: _ShardResult) -> _ShardResult:
     """The record of the shard under alt(prefix), derived from the record of
     the shard under prefix when row-sum is off (see the module docstring).
-    A shard the budget aborted gives a partner that never started."""
+    A shard the budget stopped gives a partner that never started."""
     prefix = _alternate(result.prefix)
     if not result.completed:
         return _ShardResult(prefix, False, 0, dict.fromkeys(result.cuts, 0), ())
@@ -485,7 +486,8 @@ class _ShardLedger:
     record is refused with a ValueError naming the file and the line; so is
     a record of a prefix that is not a shard of this search, a hit outside
     its shard or failing the predicate, and a hit or done line for a shard
-    that already has a done line.
+    that already has a done line.  A file that cannot be read or written,
+    at the start or on an append, is a ValueError naming it.
 
     record() only ever appends a shard's whole record, its hit lines and
     its done line, in one write.  So a final line without its newline is a
@@ -596,8 +598,11 @@ class _ShardLedger:
         if counters:
             done += " " + counters
         lines.append(done)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        try:
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ValueError(f"ledger {self.path}: {exc.strerror}") from None
 
 
 def _ledger_header(cfg: SearchConfig) -> str:

@@ -8,12 +8,17 @@ multiplies it out with numpy integer arithmetic.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import math
+import os
 import random
 import signal
+import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from circhad.blockform import (
     BlockSequence,
@@ -56,6 +61,51 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_forks(monkeypatch, limit=None):
+    """Record the pid of every child that os.fork starts, refusing any
+    fork beyond the limit as fork does at a process limit."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        if limit is not None and len(forked) >= limit:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def fail_appends(monkeypatch):
+    """Make every append-mode Path.open fail as on a full disk."""
+    real_open = Path.open
+
+    def open_(path, mode="r", *args, **kwargs):
+        if "a" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+def stop_after_reads(monkeypatch, reads):
+    """Patch time.monotonic to read 0.0 for its first `reads` calls and 1.0
+    after.  Against a deadline of 0.5, a shard walk then stops at its
+    reads-th deadline read (the first is at the shard's start, the rest
+    one per poll), so at the same tree node on every run."""
+    calls = itertools.count(1)
+    monkeypatch.setattr(time, "monotonic", lambda: 0.0 if next(calls) <= reads else 1.0)
 
 
 def dense_circulant(text: str) -> np.ndarray:

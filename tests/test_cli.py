@@ -9,6 +9,8 @@ import pytest
 
 from circhad.cli import main
 
+from helpers import SEARCH_SECONDS, assert_reaped, count_forks, fail_appends, time_limit
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COUNTEREXAMPLE_BLOCKS = "++,+-,--,+-,--,+-"
@@ -442,6 +444,21 @@ class TestSearchCommand:
         assert f"ledger {ledger}:" in err
         assert not ledger.parent.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @time_limit(SEARCH_SECONDS)
+    def test_failed_ledger_append_exit_two(self, capsys, monkeypatch, tmp_path, workers):
+        forked = count_forks(monkeypatch)
+        fail_appends(monkeypatch)
+        ledger = tmp_path / "shards.ledger"
+        code, out, err = run(
+            capsys, "search", "--order", "8", "--prune", "prefix-paf", "--workers", workers,
+            "--ledger", str(ledger),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: ledger {ledger}: No space left on device\n"
+        assert len(forked) == int(workers) - 1
+        assert_reaped(forked)
+
     def test_prune_none_exclusive(self, capsys):
         code, _, err = run(
             capsys, "search", "--order", "8", "--prune", "none", "--prune", "row-sum"
@@ -557,6 +574,22 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "outcome: Cycle" in proc.stdout
+
+
+def test_dev_mode_runs_are_clean(tmp_path):
+    # under -X dev -W error, a file object left unclosed (ResourceWarning)
+    # or any other warning shows on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    ledger = str(tmp_path / "shards.ledger")
+    budgeted = ["--order", "20", "--prune", "prefix-paf", "--workers", "3", "--budget-seconds", "0.05"]
+    recorded = ["--order", "16", "--workers", "2", "--ledger", ledger]
+    # a budget that stops shards, then a ledger write and its resume
+    for argv, code in ((budgeted, 1), (recorded, 0), (recorded, 0)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "circhad", "search", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (code, ""), argv
 
 
 def test_import_loads_no_numpy_or_process_machinery():

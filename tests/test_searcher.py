@@ -1,6 +1,6 @@
-import errno
 import os
 import re
+import sys
 import time
 from collections import Counter
 
@@ -37,12 +37,16 @@ from circhad.seqcore import SignSequence, is_circulant_hadamard
 from helpers import (
     SEARCH_SECONDS,
     all_sign_texts,
+    assert_reaped,
+    count_forks,
     dense_hadamard_ok,
+    fail_appends,
     reference_block_sequences,
     reference_minus_ok_table,
     reference_packed_lag_tables,
     reference_residual,
     reference_search,
+    stop_after_reads,
     time_limit,
 )
 
@@ -157,40 +161,16 @@ class TestSearchResults:
                 assert report.sequences_examined == 0
                 assert built == [16]
 
-    @staticmethod
-    def count_forks(monkeypatch, limit=None):
-        """Record the pid of every child that os.fork starts, refusing any
-        fork beyond the limit as fork does at a process limit."""
-        forked = []
-        real_fork = os.fork
-
-        def fork():
-            if limit is not None and len(forked) >= limit:
-                raise BlockingIOError(errno.EAGAIN, "fork refused")
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forked
-
-    @staticmethod
-    def assert_reaped(pids):
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-
     @time_limit(SEARCH_SECONDS)
     def test_pool_never_exceeds_shard_count(self, monkeypatch):
         # 8 shards walked with row-sum, 4 without; the calling process is
         # the last of min(workers, walks) workers
         for prunes, walks in ((ALL_PRUNES, 8), (PAF, 4)):
             with monkeypatch.context() as patch:
-                forked = self.count_forks(patch, limit=walks - 1)
+                forked = count_forks(patch, limit=walks - 1)
                 wide = search(SearchConfig(order=4, prunes=prunes, workers=10_000))
             assert len(forked) == walks - 1
-            self.assert_reaped(forked)
+            assert_reaped(forked)
             narrow = search(SearchConfig(order=4, prunes=prunes))
             assert wide.canonical_json() == narrow.canonical_json()
 
@@ -254,17 +234,17 @@ class TestSearchResults:
     @time_limit(SEARCH_SECONDS)
     def test_failed_fork_reaps_children_and_closes_pipes(self, monkeypatch):
         open_fds = len(os.listdir("/proc/self/fd"))
-        forked = self.count_forks(monkeypatch, limit=1)
+        forked = count_forks(monkeypatch, limit=1)
         with pytest.raises(BlockingIOError):
             search(SearchConfig(order=16, prunes=PAF, workers=3))
         assert len(forked) == 1
-        self.assert_reaped(forked)
+        assert_reaped(forked)
         assert len(os.listdir("/proc/self/fd")) == open_fds
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @time_limit(SEARCH_SECONDS)
     def test_parent_raising_mid_walk_reaps_children(self, monkeypatch, tmp_path):
-        forked = self.count_forks(monkeypatch)
+        forked = count_forks(monkeypatch)
         real_record = searcher._ShardLedger.record
         records = []
 
@@ -279,7 +259,7 @@ class TestSearchResults:
         with pytest.raises(OSError, match="disk full"):
             search(cfg)
         assert len(forked) == 2
-        self.assert_reaped(forked)
+        assert_reaped(forked)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -430,6 +410,42 @@ class TestAlternation:
             assert sorted(after) == sorted(records)
 
 
+class TestStop:
+    """Where a budget stops a shard.  The clock reads 0.0 for its first
+    `reads` calls and 1.0 after, against deadline 0.5, so the stop falls at
+    a fixed node; the counts are those reached there."""
+
+    @pytest.mark.parametrize(
+        "order, prefix, prunes, reads, completed, examined, cuts",
+        [
+            (24, "+++---", PAF, 1, False, 0, {"prefix-paf": 4084}),
+            (24, "+++---", PAF, 2, False, 0, {"prefix-paf": 8182}),
+            (36, "+-+-+-", ALL_PRUNES, 1, False, 0, {"prefix-paf": 3220, "row-sum": 858}),
+            (36, "+-+-+-", ALL_PRUNES, 3, False, 0, {"prefix-paf": 9984, "row-sum": 2290}),
+            (20, "++++++", frozenset(), 1, False, 4092, {}),
+            (20, "++++++", frozenset(), 2, False, 8190, {}),
+            (20, "+-++-+", ROWSUM, 1, False, 1507, {"row-sum": 2580}),
+            # out of time at its start: the shard never starts
+            (16, "++++++", PAF, 0, False, 0, {"prefix-paf": 0}),
+            # 1024 leaves, fewer than one poll's worth of nodes
+            (16, "++++++", frozenset(), 1, True, 1024, {}),
+        ],
+        ids=["o24-1", "o24-2", "o36-1", "o36-3", "o20-1", "o20-2", "o20-rowsum", "unstarted",
+             "finished"],
+    )
+    def test_stop_falls_at_a_fixed_node(
+        self, monkeypatch, order, prefix, prunes, reads, completed, examined, cuts
+    ):
+        limit = sys.getrecursionlimit()
+        runs = []
+        for _ in range(2):
+            with monkeypatch.context() as patch:
+                stop_after_reads(patch, reads)
+                runs.append(TestAlternation.walk(order, prefix, prunes, deadline=0.5))
+        assert runs[0] == runs[1] == _ShardResult(prefix, completed, examined, cuts, ())
+        assert sys.getrecursionlimit() == limit
+
+
 @st.composite
 def sign_rows(draw):
     length = draw(st.sampled_from(range(8, 41, 4)))
@@ -538,6 +554,20 @@ class TestBudgetAndLedger:
             line.split()[0] for line in ledgers.pop().decode().splitlines()[1:] if " done " in line
         ]
         assert records == list(_shard_prefixes(order))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @time_limit(SEARCH_SECONDS)
+    def test_failed_append_is_value_error(self, monkeypatch, tmp_path, workers):
+        forked = count_forks(monkeypatch)
+        fail_appends(monkeypatch)
+        ledger = tmp_path / "shards.ledger"
+        cfg = SearchConfig(order=8, prunes=PAF, workers=workers, ledger_path=ledger)
+        with pytest.raises(ValueError) as info:
+            search(cfg)
+        assert str(info.value) == f"ledger {ledger}: No space left on device"
+        assert len(forked) == workers - 1
+        assert_reaped(forked)
+        assert ledger.read_text() == "# circhad shard ledger order=8 prunes=prefix-paf\n"
 
     def test_ledger_config_mismatch_refused(self, tmp_path):
         ledger = tmp_path / "shards.ledger"
