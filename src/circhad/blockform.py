@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import _NAMES
-from .seqcore import SignSequence, _paf_vanishes, _set_bits, _ternary_paf
+from .seqcore import SignSequence, _paf_vanishes, _Record, _set_bits, _set_field, _ternary_paf
 
 __all__ = [*_NAMES["blockform"]]
 
@@ -43,16 +42,16 @@ class Parity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TwoBlock:
+class TwoBlock(_Record):
     """The 2x2 ±1 matrix [[diag, offdiag], [offdiag, diag]]."""
 
-    diag: int
-    offdiag: int
+    __slots__ = ("diag", "offdiag")
 
-    def __post_init__(self) -> None:
-        if self.diag not in _SIGNS or self.offdiag not in _SIGNS:
+    def __init__(self, diag: int, offdiag: int) -> None:
+        if diag not in _SIGNS or offdiag not in _SIGNS:
             raise ValueError("2-block entries must be +1 or -1")
+        _set_field(self, "diag", diag)
+        _set_field(self, "offdiag", offdiag)
 
     @property
     def is_even(self) -> bool:
@@ -81,13 +80,15 @@ class TwoBlock:
 _BLOCK_ALPHABET = (TwoBlock(1, 1), TwoBlock(1, -1), TwoBlock(-1, 1), TwoBlock(-1, -1))
 
 
-@dataclass(frozen=True, slots=True)
-class SymBlockMatrix:
+class SymBlockMatrix(_Record):
     """Integer matrix [[diag, offdiag], [offdiag, diag]]; sums and products
     of 2-blocks land here."""
 
-    diag: int
-    offdiag: int
+    __slots__ = ("diag", "offdiag")
+
+    def __init__(self, diag: int, offdiag: int) -> None:
+        _set_field(self, "diag", diag)
+        _set_field(self, "offdiag", offdiag)
 
     @property
     def is_zero(self) -> bool:

@@ -39,29 +39,51 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import _NAMES
 from .blockform import BlockSequence, _normalized_lag, block_product
-from .seqcore import _lag_masks, _set_bits
+from .seqcore import _lag_masks, _Record, _set_bits, _set_field
 
 __all__ = [*_NAMES["matchchase"]]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class IndexPair:
-    """Ordered index pair (first, second), usually (i, (i + u) mod 2n)."""
+class IndexPair(_Record):
+    """Ordered index pair (first, second), usually (i, (i + u) mod 2n).
 
-    first: int
-    second: int
+    The one ordered record: pairs compare as (first, second) tuples.  Its
+    equality, hash and order are written out, as matchings sort and
+    compare pairs; a > b and a >= b reflect to b < a and b <= a.
+    """
 
-    def __post_init__(self) -> None:
-        if self.first < 0 or self.second < 0:
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: int, second: int) -> None:
+        if first < 0 or second < 0:
             raise ValueError("pair indices must be nonnegative")
-        if self.first == self.second:
+        if first == second:
             raise ValueError("pair indices must differ")
+        _set_field(self, "first", first)
+        _set_field(self, "second", second)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.first == other.first and self.second == other.second
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) < (other.first, other.second)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.first, self.second) <= (other.first, other.second)
+        return NotImplemented
 
     def lag(self, mod: int) -> int:
         return (self.second - self.first) % mod
@@ -76,8 +98,7 @@ _index_pair = lru_cache(maxsize=1 << 14)(IndexPair)
 MatchedPair = tuple[IndexPair, IndexPair]
 
 
-@dataclass(frozen=True)
-class LagMatching:
+class LagMatching(_Record):
     """Involutive pairing of index pairs at one lag.
 
     Stored canonically: each matched 2-set is sorted, the 2-sets themselves
@@ -85,8 +106,11 @@ class LagMatching:
     empty.
     """
 
-    lag: int
-    pairs: tuple[MatchedPair, ...]
+    __slots__ = ("lag", "pairs")
+
+    def __init__(self, lag: int, pairs: tuple[MatchedPair, ...]) -> None:
+        _set_field(self, "lag", lag)
+        _set_field(self, "pairs", pairs)
 
     @classmethod
     def of(cls, lag: int, pairs: Iterable[tuple[IndexPair, IndexPair]]) -> "LagMatching":
@@ -158,11 +182,13 @@ class MatchingBook:
         return self._by_lag == other._by_lag
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of checking a matching against a block sequence."""
 
-    violations: tuple[str, ...]
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[str, ...]) -> None:
+        _set_field(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -297,22 +323,28 @@ class ChaseOutcome(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class ChaseStep:
+class ChaseStep(_Record):
     """One visited obligation and the pair matched with it, if any."""
 
-    obligation: IndexPair
-    matched: IndexPair | None
+    __slots__ = ("obligation", "matched")
+
+    def __init__(self, obligation: IndexPair, matched: IndexPair | None) -> None:
+        _set_field(self, "obligation", obligation)
+        _set_field(self, "matched", matched)
 
 
-@dataclass(frozen=True, slots=True)
-class ChaseTrace:
+class ChaseTrace(_Record):
     """Ordered chase log.  For a Cycle, repeat is the revisited obligation;
     otherwise it is None and the last step tells the story."""
 
-    steps: tuple[ChaseStep, ...]
-    outcome: ChaseOutcome
-    repeat: IndexPair | None = None
+    __slots__ = ("steps", "outcome", "repeat")
+
+    def __init__(
+        self, steps: tuple[ChaseStep, ...], outcome: ChaseOutcome, repeat: IndexPair | None = None
+    ) -> None:
+        _set_field(self, "steps", steps)
+        _set_field(self, "outcome", outcome)
+        _set_field(self, "repeat", repeat)
 
     def successful_steps(self) -> int:
         return sum(1 for s in self.steps if s.matched is not None)

@@ -19,7 +19,10 @@ optional prunes cut branches:
 
 The per-position tables of both prunes are built once per search, before
 any shard is walked, and every shard reads them; they are freed with the
-search.
+search.  They take O(L^2) memory and time, about 180 MB and 0.3 s at
+L = 4096, so a search above _MAX_ORDER that the row-sum shortcut does not
+settle is refused with ValueError before any table is built; no budget
+could cover it, and no walk at such an order could finish.
 
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
@@ -66,12 +69,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from math import inf, isqrt
 from pathlib import Path
 
 from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM, _NAMES
-from .seqcore import SignSequence, is_circulant_hadamard
+from .seqcore import SignSequence, _Record, _set_field, is_circulant_hadamard
 
 __all__ = [*_NAMES["searcher"]]
 
@@ -83,6 +85,8 @@ _SHARD_DEPTH_CAP = 6
 _DEADLINE_POLL = 4096
 # bytes in a key index on the task pipe of _walk
 _WIDTH = 2
+# the largest order whose shard tables search() builds
+_MAX_ORDER = 4096
 
 
 def _check_order(order: int) -> None:
@@ -90,44 +94,54 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be a positive multiple of 4, got {order}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    order: int
-    prunes: frozenset[str] = ALL_PRUNES
-    workers: int = 1
-    canonicalize: bool = False
-    budget_seconds: float | None = None
-    ledger_path: str | Path | None = None
+class SearchConfig(_Record):
+    """What search() walks: the order, the prunes (a frozenset of prune
+    names), the worker count, whether to report canonical classes, an
+    optional budget in seconds and an optional ledger file."""
 
-    def __post_init__(self) -> None:
-        _check_order(self.order)
-        if self.workers < 1:
+    __slots__ = ("order", "prunes", "workers", "canonicalize", "budget_seconds", "ledger_path")
+
+    def __init__(
+        self, order: int, prunes: frozenset[str] = ALL_PRUNES, workers: int = 1,
+        canonicalize: bool = False, budget_seconds: float | None = None,
+        ledger_path: str | Path | None = None,
+    ) -> None:
+        _check_order(order)
+        if workers < 1:
             raise ValueError("workers must be at least 1")
-        unknown = set(self.prunes) - ALL_PRUNES
+        unknown = set(prunes) - ALL_PRUNES
         if unknown:
             raise ValueError(f"unknown prunes: {sorted(unknown)}")
-        object.__setattr__(self, "prunes", frozenset(self.prunes))
         # NaN fails every comparison, so it is refused with inf
-        if self.budget_seconds is not None and not 0 <= self.budget_seconds < inf:
+        if budget_seconds is not None and not 0 <= budget_seconds < inf:
             raise ValueError("budget_seconds must be finite and nonnegative")
+        values = (order, frozenset(prunes), workers, canonicalize, budget_seconds, ledger_path)
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Record):
     """Search outcome.  Everything except workers and elapsed_seconds is a
     pure function of the configuration, which is what canonical_dict()
     exposes for bit-identical comparison across worker counts."""
 
-    order: int
-    prunes: tuple[str, ...]
-    canonicalize: bool
-    workers: int
-    sequences_examined: int
-    solutions: tuple[str, ...]
-    canonical_classes: tuple[str, ...] | None
-    prune_cuts: dict[str, int]
-    incomplete: bool
-    elapsed_seconds: float
+    __slots__ = (
+        "order", "prunes", "canonicalize", "workers", "sequences_examined", "solutions",
+        "canonical_classes", "prune_cuts", "incomplete", "elapsed_seconds",
+    )
+
+    def __init__(
+        self, order: int, prunes: tuple[str, ...], canonicalize: bool, workers: int,
+        sequences_examined: int, solutions: tuple[str, ...],
+        canonical_classes: tuple[str, ...] | None, prune_cuts: dict[str, int],
+        incomplete: bool, elapsed_seconds: float,
+    ) -> None:
+        values = (
+            order, prunes, canonicalize, workers, sequences_examined, solutions,
+            canonical_classes, prune_cuts, incomplete, elapsed_seconds,
+        )
+        for name, value in zip(self.__slots__, values):
+            _set_field(self, name, value)
 
     def canonical_dict(self) -> dict:
         return {
@@ -280,34 +294,35 @@ def _run_shard(
     deadline: float | None,
 ) -> _ShardResult:
     L = order
+    last = L - 1
     use_paf = PRUNE_PREFIX_PAF in prunes
     W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
-    lower, back, wrap, both = lags.lower, lags.back, lags.wrap, lags.both
-    shift, spread = lags.shift, lags.spread
+    # the seven per-position tables, read as one tuple per position
+    tables = lags.back, lags.shift, lags.wrap, lags.lower, lags.both, lags.spread, minus_ok
+    rows = tuple(zip(*tables))
     examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
     poll = _DEADLINE_POLL
 
-    # _PackedLags.settle and .cut inlined: this is the hot loop
+    def found(bits: int) -> None:
+        # only a leaf whose counters all read L/2 can be a hit; the
+        # predicate has the last word on it
+        seq = SignSequence.from_bits(L, bits)
+        if is_circulant_hadamard(seq):
+            hits.append(seq.text)
+
+    # _PackedLags.settle and .cut inlined: this is the hot loop.  A child
+    # at the last position is a leaf, counted and tested here without a
+    # call; leaves do not read the deadline.
     def dfs(p: int, bits: int, rev: int, fwd: int, neg: int, minus: int) -> None:
         nonlocal examined, rowsum_cuts, paf_cuts, poll
-        if p == L:
-            examined += 1
-            # only a row whose counters all read L/2 can be a hit; the
-            # predicate has the last word on it
-            if neg == balanced:
-                seq = SignSequence.from_bits(L, bits)
-                if is_circulant_hadamard(seq):
-                    hits.append(seq.text)
-            return
         poll -= 1
         if not poll:
             poll = _DEADLINE_POLL
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
-        inc = (rev & back[p]) + ((fwd << shift[p]) & wrap[p])
-        ok = minus_ok[p]
-        lo = lower[p]
+        back, shift, wrap, lo, both, spread, ok = rows[p]
+        inc = (rev & back) + ((fwd << shift) & wrap)
         rev <<= W
         # h[p] = +1: the settled products with h[p] are -1 where the other
         # factor is -1, which is what inc counts
@@ -316,17 +331,25 @@ def _run_shard(
             rowsum_cuts += 1
         elif use_paf and ((n + upper) | ~(n + lo)) & guard:
             paf_cuts += 1
-        else:
+        elif p != last:
             dfs(p + 1, bits, rev, fwd, n, minus)
+        else:
+            examined += 1
+            if n == balanced:
+                found(bits)
         # h[p] = -1: the complementary products are -1
-        n = neg + both[p] - inc
+        n = neg + both - inc
         minus += 1
         if not ok[minus]:
             rowsum_cuts += 1
         elif use_paf and ((n + upper) | ~(n + lo)) & guard:
             paf_cuts += 1
+        elif p != last:
+            dfs(p + 1, bits | 1 << p, rev | 1, fwd | spread, n, minus)
         else:
-            dfs(p + 1, bits | 1 << p, rev | 1, fwd | spread[p], n, minus)
+            examined += 1
+            if n == balanced:
+                found(bits | 1 << p)
 
     # the walk recurses once per position, so a large order needs more
     # frames than the default limit allows
@@ -350,7 +373,13 @@ def _run_shard(
                 paf_cuts += 1
                 break
         else:
-            dfs(len(prefix), bits, rev, fwd, neg, minus)
+            if len(prefix) < L:
+                dfs(len(prefix), bits, rev, fwd, neg, minus)
+            else:
+                # at order 4 the prefix is a whole row, a leaf
+                examined += 1
+                if neg == balanced:
+                    found(bits)
         completed = True
     except _Stop:
         completed = False
@@ -643,7 +672,8 @@ def search(cfg: SearchConfig) -> SearchReport:
     The solution set does not depend on the prune selection or the worker
     count; prunes and parallelism only change how much work is done.  With
     a budget, the report may come back flagged incomplete.  A worker
-    process that dies raises RuntimeError instead of a report.
+    process that dies raises RuntimeError instead of a report.  An order
+    above _MAX_ORDER that row-sum does not settle raises ValueError.
     """
     started = time.perf_counter()
     cuts_total = {name: 0 for name in sorted(cfg.prunes)}
@@ -651,6 +681,8 @@ def search(cfg: SearchConfig) -> SearchReport:
         cuts_total[PRUNE_ROW_SUM] = 1
         elapsed = time.perf_counter() - started
         return _build_report(cfg, 0, [], cuts_total, False, elapsed)
+    if cfg.order > _MAX_ORDER:
+        raise ValueError(f"order {cfg.order} is too large to search; the largest is {_MAX_ORDER}")
 
     prefixes = _shard_prefixes(cfg.order)
     mirror = PRUNE_ROW_SUM not in cfg.prunes

@@ -13,11 +13,14 @@ The one autocorrelation kernel lives here, _lag_masks and the functions
 below it, on a ternary sequence held as two bitmasks, ``support`` (entry
 nonzero) and ``neg`` (entry -1).  paf and the Hadamard predicate run it
 with all-ones support, blockform on the compression of a block row.
+
+_Record is the base of the frozen value classes of every layer, from
+PafSpectrum here to SearchReport in searcher.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from . import _NAMES
@@ -126,27 +129,75 @@ class SignSequence:
         return SignSequence._make(self._length, self._bits ^ mask)
 
 
-@dataclass(frozen=True)
-class PafSpectrum:
+# sets a field of a _Record, in its __init__ only
+_set_field = object.__setattr__
+
+
+class _Record:
+    """A frozen record: a subclass names its fields in __slots__, in
+    constructor order, and sets each once in __init__ with _set_field.
+
+    Assigning or deleting an attribute raises AttributeError.  Records are
+    equal when they are of the same class and their fields are equal, so a
+    record never equals a tuple or a record of another class, and the hash
+    agrees with equality.  A subclass that writes its own __eq__ and
+    __hash__ keeps them.  Records have no order; the repr is
+    Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        values = attrgetter(*cls.__slots__)
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self) -> int:
+            return hash(values(self))
+
+        if "__eq__" not in vars(cls):
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class PafSpectrum(_Record):
     """Periodic autocorrelation at every lag, values[u] = paf(h, u)."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        L = len(self.values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        L = len(values)
         if L == 0:
             raise ValueError("empty spectrum")
-        if self.values[0] != L:
+        if values[0] != L:
             raise ValueError("peak value must equal the sequence length")
         for u in range(1, L):
-            if self.values[u] != self.values[L - u]:
+            if values[u] != values[L - u]:
                 raise ValueError("spectrum must be symmetric about the half length")
+        _set_field(self, "values", values)
 
     @classmethod
     def _trusted(cls, values: tuple[int, ...]) -> "PafSpectrum":
         """Trusted constructor: the caller guarantees the checks above."""
         spectrum = cls.__new__(cls)
-        object.__setattr__(spectrum, "values", values)
+        _set_field(spectrum, "values", values)
         return spectrum
 
     def __len__(self) -> int:

@@ -381,6 +381,14 @@ class TestSearchCommand:
         assert out == ""
         assert "budget_seconds must be finite" in err
 
+    @time_limit(10)
+    def test_order_too_large_exit_two(self, capsys):
+        # a square order: row-sum leaves it to the walk, which refuses it
+        order = str(10**20)
+        code, out, err = run(capsys, "search", "--order", order, "--budget-seconds", "0.1")
+        assert (code, out) == (2, "")
+        assert err == f"error: order {order} is too large to search; the largest is 4096\n"
+
     def test_forged_ledger_hit_exit_two(self, capsys, tmp_path):
         # a hit the predicate rejects must not come back as a solution
         ledger = tmp_path / "shards.ledger"

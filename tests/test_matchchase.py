@@ -1,5 +1,4 @@
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -246,7 +245,11 @@ class TestReferenceEquivalence:
         m = LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
         assert MatchingBook([m]).partner_of(pair(0, 2), 6) == pair(2, 4)
         assert m == LagMatching.of(2, [(pair(0, 2), pair(2, 4))])
-        assert asdict(m) == {"lag": 2, "pairs": (({"first": 0, "second": 2}, {"first": 2, "second": 4}),)}
+        # the fields are exactly lag and pairs
+        assert LagMatching.__match_args__ == ("lag", "pairs")
+        assert repr(m) == (
+            "LagMatching(lag=2, pairs=((IndexPair(first=0, second=2), IndexPair(first=2, second=4)),))"
+        )
 
 
 ALL_BLOCKS = tuple(TwoBlock.from_text(t) for t in ("++", "+-", "-+", "--"))

@@ -17,13 +17,19 @@ SRC = ROOT / "src"
 LAYERS = (seqcore, blockform, matchchase, searcher)
 BLOCKS = "++,+-,--,+-,--,+-"
 
-# prints the exit code of cli.main(argv), then every circhad module loaded
+# modules no invocation may load: with inspect, dataclasses costs several
+# milliseconds of start-up
+SLOW_IMPORTS = ("dataclasses", "inspect")
+# the names in sys.modules that are circhad modules or SLOW_IMPORTS
+LOADED = f"sorted(m for m in sys.modules if m.startswith('circhad') or m in {SLOW_IMPORTS})"
+
+# prints the exit code of cli.main(argv), then every module of LOADED
 CLI_PROBE = (
     "import contextlib, io, sys\n"
     "from circhad import cli\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = cli.main(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('circhad')))\n"
+    f"print(code, *{LOADED})\n"
 )
 
 
@@ -61,10 +67,7 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, code, layers):
 
 
 def test_import_loads_no_layer():
-    loaded = _probe(
-        "import sys, circhad\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('circhad')))\n"
-    )
+    loaded = _probe(f"import sys, circhad\nprint(*{LOADED})\n")
     assert loaded == ["circhad"]
 
 

@@ -514,6 +514,31 @@ class TestBudgetAndLedger:
         assert report.incomplete
         assert report.elapsed_seconds < 1.5
 
+    @pytest.mark.parametrize("prunes", [ALL_PRUNES, PAF], ids=["all", "prefix-paf"])
+    def test_order_above_the_largest_is_refused_at_once(self, tmp_path, prunes):
+        # its shard tables alone would take gigabytes: the search is refused
+        # before they are built, and before the ledger is opened
+        ledger = tmp_path / "shards.ledger"
+        cfg = SearchConfig(order=16384, prunes=prunes, budget_seconds=0.1, ledger_path=ledger)
+        refusal = "^order 16384 is too large to search; the largest is 4096$"
+        started = time.monotonic()
+        with time_limit(10), pytest.raises(ValueError, match=refusal):
+            search(cfg)
+        assert time.monotonic() - started < 1.5
+        assert not ledger.exists()
+
+    def test_largest_order_is_searched(self, monkeypatch):
+        monkeypatch.setattr(searcher, "_MAX_ORDER", 16)
+        assert not search(SearchConfig(order=16, prunes=PAF)).incomplete
+        with pytest.raises(ValueError, match="order 20 is too large"):
+            search(SearchConfig(order=20, prunes=PAF))
+
+    def test_row_sum_still_settles_a_large_nonsquare_order(self):
+        # 16388 = 4 * 4097 is not a square, so row-sum answers before the refusal
+        report = search(SearchConfig(order=16388, budget_seconds=0.1))
+        assert (report.incomplete, report.sequences_examined) == (False, 0)
+        assert report.prune_cuts == {"prefix-paf": 0, "row-sum": 1}
+
     def test_ledger_resume_reproduces_report(self, tmp_path):
         ledger = tmp_path / "shards.ledger"
         first = search(SearchConfig(order=16, ledger_path=ledger))
