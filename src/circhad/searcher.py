@@ -7,8 +7,9 @@ optional prunes cut branches:
 * row-sum: a circulant Hadamard row sum s satisfies s*s = L, so orders that
   are not perfect squares are rejected without enumeration, and square
   orders constrain the number of -1 entries to (L - s)/2 or (L + s)/2.
-  Inside the tree this is one table lookup per node, indexed by position
-  and by the number of -1 entries so far.
+  Inside the tree this is one lookup per child in a table indexed by the
+  number of -1 entries so far, compared with the position (see
+  _minus_ok_ends).
 * prefix-paf: the settled part of each periodic autocorrelation lag is
   bounded by the number of still-undetermined terms; a branch that cannot
   reach zero at some lag is cut.  The state is one packed integer with a
@@ -17,12 +18,13 @@ optional prunes cut branches:
   over the L/2 lags.  The state is passed down the recursion; nothing is
   undone on the way back.
 
-The per-position tables of both prunes are built once per search, before
-any shard is walked, and every shard reads them; they are freed with the
-search.  They take O(L^2) memory and time, about 180 MB and 0.3 s at
-L = 4096, so a search above _MAX_ORDER that the row-sum shortcut does not
-settle is refused with ValueError before any table is built; no budget
-could cover it, and no walk at such an order could finish.
+The tables of both prunes are built once per search, before any shard is
+walked, and every shard reads them; they are freed with the search.  The
+per-position tables of prefix-paf take O(L^2) memory and time, about 40 MB
+and 0.05 s at L = 4096, so a search above _MAX_ORDER that the row-sum
+shortcut does not settle is refused with ValueError before any table is
+built; no budget could cover it, and no walk at such an order could
+finish.
 
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
@@ -58,7 +60,12 @@ With more than one worker, the calling process forks workers - 1 children
 claims its next shard by reading the shard's index from one pipe.  Each
 child sends its results back over its own pipe, only the calling process
 writes the ledger, and a child that dies makes the search raise
-RuntimeError rather than report its shard.
+RuntimeError rather than report its shard.  Each process of the walk first
+moves itself to its own allowed CPU (process i to the i-th, in turn) and
+then restores its affinity mask: where the kernel does not balance load
+between CPUs (cpuset sched_load_balance = 0), a forked child otherwise
+stays on its parent's CPU and the two share it.  Where the kernel does
+balance load it remains free to move them.
 """
 
 from __future__ import annotations
@@ -263,26 +270,22 @@ class _PackedLags:
         return bool(((neg + self.upper) | ~(neg + self.lower[p])) & self.guard)
 
 
-def _minus_ok_table(
-    order: int, minus_targets: tuple[int, ...] | None
-) -> tuple[tuple[bool, ...], ...]:
-    """minus_ok[p][m]: with m '-' entries among positions 0..p, some target
-    count of '-' entries is still reachable (always, without row-sum).
+def _minus_ok_ends(order: int, minus_targets: tuple[int, ...] | None) -> tuple[int, ...]:
+    """ends[m] for m = 0..order: with m '-' entries among positions 0..p,
+    some target count of '-' entries is still reachable exactly when
+    p < ends[m] (always, without row-sum).
 
-    Target t is reachable when m <= t <= m + (order - p - 1), one run of m
-    per target, so each row is filled by slices rather than test by test.
+    Target t is reachable when m <= t <= m + (order - p - 1), that is when
+    t >= m and p < m + order - t, so ends[m] is the largest such bound over
+    the targets t >= m, and 0 where there is none.  One entry per count,
+    where a table by position and count would take O(order^2).
     """
     if minus_targets is None:
-        return tuple((True,) * (p + 2) for p in range(order))
-    table = []
-    for p in range(order):
-        row = [False] * (p + 2)
-        for t in minus_targets:
-            lo, hi = max(0, t - (order - p - 1)), min(p + 1, t)
-            if lo <= hi:
-                row[lo:hi + 1] = (True,) * (hi + 1 - lo)
-        table.append(tuple(row))
-    return tuple(table)
+        return (order,) * (order + 1)
+    return tuple(
+        max((m + order - t for t in minus_targets if t >= m), default=0)
+        for m in range(order + 1)
+    )
 
 
 def _run_shard(
@@ -290,15 +293,15 @@ def _run_shard(
     prefix: str,
     prunes: frozenset[str],
     lags: _PackedLags,
-    minus_ok: tuple[tuple[bool, ...], ...],
+    ends: tuple[int, ...],
     deadline: float | None,
 ) -> _ShardResult:
     L = order
     last = L - 1
     use_paf = PRUNE_PREFIX_PAF in prunes
     W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
-    # the seven per-position tables, read as one tuple per position
-    tables = lags.back, lags.shift, lags.wrap, lags.lower, lags.both, lags.spread, minus_ok
+    # the six per-position tables, read as one tuple per position
+    tables = lags.back, lags.shift, lags.wrap, lags.lower, lags.both, lags.spread
     rows = tuple(zip(*tables))
     examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
@@ -321,13 +324,13 @@ def _run_shard(
             poll = _DEADLINE_POLL
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
-        back, shift, wrap, lo, both, spread, ok = rows[p]
+        back, shift, wrap, lo, both, spread = rows[p]
         inc = (rev & back) + ((fwd << shift) & wrap)
         rev <<= W
         # h[p] = +1: the settled products with h[p] are -1 where the other
         # factor is -1, which is what inc counts
         n = neg + inc
-        if not ok[minus]:
+        if p >= ends[minus]:
             rowsum_cuts += 1
         elif use_paf and ((n + upper) | ~(n + lo)) & guard:
             paf_cuts += 1
@@ -340,7 +343,7 @@ def _run_shard(
         # h[p] = -1: the complementary products are -1
         n = neg + both - inc
         minus += 1
-        if not ok[minus]:
+        if p >= ends[minus]:
             rowsum_cuts += 1
         elif use_paf and ((n + upper) | ~(n + lo)) & guard:
             paf_cuts += 1
@@ -366,7 +369,7 @@ def _run_shard(
             bits |= bit << p
             minus += bit
             rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
-            if not minus_ok[p][minus]:
+            if p >= ends[minus]:
                 rowsum_cuts += 1
                 break
             if use_paf and lags.cut(p, neg):
@@ -421,7 +424,9 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
     os.fork).  Every process claims its next key by reading one index from
     a pipe filled before any fork.  A child sends each result back over its
     own pipe as one line, a pickle in hex, so a line torn by its death is
-    never settled; a nonzero exit of a child raises RuntimeError here."""
+    never settled; a nonzero exit of a child raises RuntimeError here.
+    Before its first claim, process i (this one is 0, child k is k) moves
+    to the i-th of the allowed CPUs, in turn, and restores its mask."""
     tasks, feed = os.pipe()
     # _WIDTH bytes a key: the pipe holds them all before anyone reads
     os.write(feed, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(keys))))
@@ -439,7 +444,21 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
         import signal
 
         poller = select.poll()
+    cpus = []
+    if forks > 0 and hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
     children: dict[int, tuple[int, bytes]] = {}  # result pipe: pid, unread bytes
+
+    def place(i: int) -> None:
+        # process i of the walk (0 is this one) moves to its own CPU at once,
+        # then gets its mask back (see the module docstring); a refused move
+        # leaves it where it is
+        if len(cpus) > 1:
+            try:
+                os.sched_setaffinity(0, (cpus[i % len(cpus)],))
+                os.sched_setaffinity(0, cpus)
+            except OSError:
+                pass
 
     def receive(timeout: float | None) -> None:
         for reader, _ in poller.poll(timeout):
@@ -460,7 +479,7 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
                 raise RuntimeError(f"a search worker process exited with code {code}")
 
     try:
-        for _ in range(forks):
+        for k in range(1, forks + 1):
             reader, writer = os.pipe()
             try:
                 pid = os.fork()
@@ -470,6 +489,7 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
                 raise
             if pid == 0:
                 try:
+                    place(k)
                     for key in claims():
                         line = pickle.dumps(walk(key)).hex().encode() + b"\n"
                         while line:
@@ -486,6 +506,7 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
             os.close(writer)
             children[reader] = (pid, b"")
             poller.register(reader, select.POLLIN)
+        place(0)
         for key in claims():
             settle(walk(key))
             if children:
@@ -715,10 +736,10 @@ def search(cfg: SearchConfig) -> SearchReport:
     # built once, before any child forks, so the children inherit them
     targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
     lags = _PackedLags(cfg.order)
-    minus_ok = _minus_ok_table(cfg.order, targets)
+    ends = _minus_ok_ends(cfg.order, targets)
 
     def walk(prefix: str) -> _ShardResult:
-        return _run_shard(cfg.order, prefix, cfg.prunes, lags, minus_ok, deadline)
+        return _run_shard(cfg.order, prefix, cfg.prunes, lags, ends, deadline)
 
     _walk(walk, walks, cfg.workers, settle)
     missing = [p for p in prefixes if p not in results]

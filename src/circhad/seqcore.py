@@ -235,7 +235,13 @@ def _ternary_paf(support: int, neg: int, u: int, L: int) -> int:
 
 def _paf_vanishes(support: int, neg: int, L: int) -> bool:
     """True when the ternary paf is zero at every nonzero lag; the pairs at
-    lag u are those at lag L - u reversed, so lags 1..L/2 cover them all."""
+    lag u are those at lag L - u reversed, so lags 1..L/2 cover them all.
+
+    The paf summed over all L lags is (sum c)^2 and paf(0) is the weight,
+    so zero off the peak needs (sum c)^2 == weight, tested first."""
+    weight = support.bit_count()
+    if (weight - 2 * neg.bit_count()) ** 2 != weight:
+        return False
     for u in range(1, L // 2 + 1):
         if _ternary_paf(support, neg, u, L):
             return False

@@ -63,6 +63,18 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# the CPUs this process may run on, sorted; empty where the platform
+# does not say
+ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+def current_cpu() -> int:
+    """The CPU this process last ran on: field 39 of /proc/self/stat,
+    counted from after the parenthesised command name."""
+    stat = Path("/proc/self/stat").read_text()
+    return int(stat[stat.rindex(")") + 1 :].split()[36])
+
+
 def count_forks(monkeypatch, limit=None):
     """Record the pid of every child that os.fork starts, refusing any
     fork beyond the limit as fork does at a process limit."""
@@ -269,8 +281,9 @@ def reference_packed_lag_tables(L: int) -> tuple[tuple[int, ...], ...]:
 
 
 def reference_minus_ok_table(L: int, targets) -> tuple[tuple[bool, ...], ...]:
-    """searcher._minus_ok_table by its definition: with m '-' entries among
-    positions 0..p, some target count is still reachable."""
+    """The row-sum test of the search (searcher._minus_ok_ends) by its
+    definition: with m '-' entries among positions 0..p, some target count
+    is still reachable."""
     return tuple(
         tuple(
             targets is None or any(m <= t <= m + L - p - 1 for t in targets)

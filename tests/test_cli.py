@@ -589,7 +589,7 @@ def test_dev_mode_runs_are_clean(tmp_path):
     # or any other warning shows on stderr
     env = dict(os.environ, PYTHONPATH=str(SRC))
     ledger = str(tmp_path / "shards.ledger")
-    budgeted = ["--order", "20", "--prune", "prefix-paf", "--workers", "3", "--budget-seconds", "0.05"]
+    budgeted = ["--order", "28", "--prune", "prefix-paf", "--workers", "3", "--budget-seconds", "0.05"]
     recorded = ["--order", "16", "--workers", "2", "--ledger", ledger]
     # a budget that stops shards, then a ledger write and its resume
     for argv, code in ((budgeted, 1), (recorded, 0), (recorded, 0)):

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ from circhad.searcher import (
     rowsum_prune_applicable,
     _alternate,
     _alternate_result,
-    _minus_ok_table,
+    _minus_ok_ends,
     _minus_targets,
     _PackedLags,
     _run_shard,
@@ -35,10 +36,12 @@ from circhad.searcher import (
 from circhad.seqcore import SignSequence, is_circulant_hadamard
 
 from helpers import (
+    ALLOWED_CPUS,
     SEARCH_SECONDS,
     all_sign_texts,
     assert_reaped,
     count_forks,
+    current_cpu,
     dense_hadamard_ok,
     fail_appends,
     reference_block_sequences,
@@ -261,6 +264,60 @@ class TestSearchResults:
         assert len(forked) == 2
         assert_reaped(forked)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    @time_limit(SEARCH_SECONDS)
+    def test_two_workers_leave_the_affinity_mask_as_found(self):
+        before = os.sched_getaffinity(0)
+        search(SearchConfig(order=16, workers=2))
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    @time_limit(SEARCH_SECONDS)
+    def test_refused_cpu_move_changes_no_output(self, monkeypatch, tmp_path):
+        refused = []
+
+        def refuse(pid, cpus):
+            refused.append(cpus)
+            raise OSError(errno.EPERM, "not permitted")
+
+        def run(workers):
+            path = tmp_path / f"ledger-{workers}"
+            report = search(SearchConfig(order=16, prunes=PAF, workers=workers, ledger_path=path))
+            return report.canonical_json(), path.read_bytes()
+
+        alone = run(1)
+        # a forked child inherits the patch
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        for workers in (2, 3):
+            assert run(workers) == alone
+        assert len(refused) == (2 if len(os.sched_getaffinity(0)) > 1 else 0)
+
+    @pytest.mark.skipif(
+        len(ALLOWED_CPUS) < 2 or not os.path.exists("/proc/self/stat"),
+        reason="needs two allowed CPUs and /proc/self/stat",
+    )
+    @time_limit(SEARCH_SECONDS)
+    def test_each_process_of_the_walk_starts_on_its_own_cpu(self, tmp_path):
+        cpus = sorted(os.sched_getaffinity(0))
+        parent = os.getpid()
+        claimed = tmp_path / "claimed"
+
+        def walk(key):
+            cpu = current_cpu()
+            if os.getpid() != parent:
+                claimed.touch()
+            # the calling process holds its first key until the child has one
+            while not claimed.exists():
+                time.sleep(0.001)
+            return os.getpid(), cpu
+
+        settled = []
+        searcher._walk(walk, list(range(4)), 2, settled.append)
+        mine = [cpu for pid, cpu in settled if pid == parent]
+        theirs = [cpu for pid, cpu in settled if pid != parent]
+        assert (mine[0], theirs[0]) == (cpus[0], cpus[1])
+        assert os.sched_getaffinity(0) == set(cpus)
+
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
         "code, message", [(3, "exited with code 3"), (0, "ended early")], ids=["failed", "quiet"]
@@ -338,7 +395,7 @@ class TestAlternation:
     @staticmethod
     def walk(order, prefix, prunes, deadline=None):
         targets = _minus_targets(order) if "row-sum" in prunes else None
-        tables = _PackedLags(order), _minus_ok_table(order, targets)
+        tables = _PackedLags(order), _minus_ok_ends(order, targets)
         return _run_shard(order, prefix, prunes, *tables, deadline)
 
     @given(st.data())
@@ -488,9 +545,12 @@ def test_packed_lag_tables_match_direct_definition():
 
 
 def test_minus_ok_table_matches_direct_definition():
+    # the ends give every entry of the table by position and '-' count
     for L in range(4, 101, 4):
         for targets in (None, _minus_targets(L), (0,), (L,), (1, L - 1)):
-            assert _minus_ok_table(L, targets) == reference_minus_ok_table(L, targets), L
+            ends = _minus_ok_ends(L, targets)
+            for p, row in enumerate(reference_minus_ok_table(L, targets)):
+                assert tuple(p < ends[m] for m in range(p + 2)) == row, (L, targets, p)
 
 
 def test_packed_leaf_verdict_exhaustive_length_four():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -203,6 +204,16 @@ def test_ternary_kernel_matches_reference(masks):
         assert paf(h, u) == reference_ternary_paf(signs, u)
     vanishes = all(reference_ternary_paf(c, u) == 0 for u in range(1, L))
     assert _paf_vanishes(support, neg, L) == vanishes
+
+
+def test_paf_vanishes_every_ternary_sequence_to_length_eight():
+    # the row-sum pre-test must never change the verdict of the lag loop
+    for L in range(1, 9):
+        for digits in itertools.product((0, 1, -1), repeat=L):
+            support = sum(1 << k for k, d in enumerate(digits) if d)
+            neg = sum(1 << k for k, d in enumerate(digits) if d < 0)
+            vanishes = all(reference_ternary_paf(list(digits), u) == 0 for u in range(1, L))
+            assert _paf_vanishes(support, neg, L) == vanishes, digits
 
 
 @st.composite
