@@ -240,7 +240,8 @@ def _paf_vanishes(support: int, neg: int, L: int) -> bool:
     The paf summed over all L lags is (sum c)^2 and paf(0) is the weight,
     so zero off the peak needs (sum c)^2 == weight, tested first."""
     weight = support.bit_count()
-    if (weight - 2 * neg.bit_count()) ** 2 != weight:
+    total = weight - 2 * neg.bit_count()
+    if total * total != weight:
         return False
     for u in range(1, L // 2 + 1):
         if _ternary_paf(support, neg, u, L):
