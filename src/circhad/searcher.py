@@ -61,11 +61,11 @@ claims its next shard by reading the shard's index from one pipe.  Each
 child sends its results back over its own pipe, only the calling process
 writes the ledger, and a child that dies makes the search raise
 RuntimeError rather than report its shard.  Each process of the walk first
-moves itself to its own allowed CPU (process i to the i-th, in turn) and
-then restores its affinity mask: where the kernel does not balance load
-between CPUs (cpuset sched_load_balance = 0), a forked child otherwise
-stays on its parent's CPU and the two share it.  Where the kernel does
-balance load it remains free to move them.
+moves itself to its own allowed CPU (the caller to the first, child 1 to
+the second and so on, in turn) and then restores its affinity mask: where
+the kernel does not balance load between CPUs (cpuset sched_load_balance
+= 0), a forked child otherwise stays on its parent's CPU and the two share
+it.  Where the kernel does balance load it remains free to move them.
 """
 
 from __future__ import annotations
@@ -426,7 +426,7 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
     own pipe as one line, a pickle in hex, so a line torn by its death is
     never settled; a nonzero exit of a child raises RuntimeError here.
     Before its first claim, process i (this one is 0, child k is k) moves
-    to the i-th of the allowed CPUs, in turn, and restores its mask."""
+    to cpus[i % len(cpus)] of the sorted allowed CPUs and restores its mask."""
     tasks, feed = os.pipe()
     # _WIDTH bytes a key: the pipe holds them all before anyone reads
     os.write(feed, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(keys))))
