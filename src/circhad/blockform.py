@@ -147,10 +147,12 @@ class BlockSequence:
     def _compression(count: int, bits: int) -> tuple[int, int]:
         """(even, minus) of the row of count blocks packed in bits: a block
         is even where its diagonal bit (``low``) and off-diagonal bit agree,
-        and in minus too where ``low`` is set, i.e. c_d != 0 and c_d = -1."""
+        and in minus too where ``low`` is set, i.e. c_d != 0 and c_d = -1.
+        bits holds 2 * count bits, so both halves lie within ``mask`` and
+        ``mask ^`` complements their difference there."""
         mask = (1 << count) - 1
         low = bits & mask
-        even = ~(low ^ bits >> count) & mask
+        even = mask ^ low ^ bits >> count
         return even, even & low
 
     @classmethod
@@ -275,29 +277,38 @@ def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
 
     The 4^k runs of k blocks are packed once, in lexicographic order, as
     rows of their own with their compression masks, which give their even
-    counts, and grouped by even count.  A row joins a left half with every
-    right half whose count makes ``evens``: as a left half a run's
-    off-diagonal bits move up by k, and as a right half all its bits and
-    both its masks move up by k more.  A row compares first on its left
-    half, then on its right half, so walking the left halves in order, each
-    with its right halves in order, keeps lexicographic order.
+    counts.  As a left half a run's off-diagonal bits move up by k; as a
+    right half all its bits and both its masks move up by k more, once per
+    run, and the right halves are grouped by even count.  A row then joins
+    a left half with every right half whose count makes ``evens`` by three
+    ``|`` and fills the four slots of a BlockSequence itself, with no call
+    per row.  A row compares first on its left half, then on its right
+    half, so walking the left halves in order, each with its right halves
+    in order, keeps lexicographic order.
     """
     mask = (1 << k) - 1
-    halves = []
+    count = 2 * k
+    lefts, rights = [], []
+    by_count: dict[int, list[tuple[int, int, int]]] = {}
     for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k):
         half = _packed(blocks)
         even, minus = BlockSequence._compression(k, half)
-        halves.append((even.bit_count(), half & mask | (half >> k) << 2 * k, even, minus))
-    by_count: dict[int, list[tuple[int, int, int, int]]] = {}
-    for half in halves:
-        by_count.setdefault(half[0], []).append(half)
-    make = BlockSequence._with_masks
-    for count, left, left_even, left_minus in halves:
-        rights = halves if evens is None else by_count.get(evens - count, ())
-        for _, right, right_even, right_minus in rights:
-            yield make(
-                2 * k, left | right << k, left_even | right_even << k, left_minus | right_minus << k
-            )
+        left = half & mask | (half >> k) << 2 * k
+        right = (left << k, even << k, minus << k)
+        evens_half = even.bit_count()
+        lefts.append((evens_half, left, even, minus))
+        rights.append(right)
+        by_count.setdefault(evens_half, []).append(right)
+    new = BlockSequence.__new__
+    for evens_half, left, left_even, left_minus in lefts:
+        joined = rights if evens is None else by_count.get(evens - evens_half, ())
+        for right, right_even, right_minus in joined:
+            bs = new(BlockSequence)
+            bs._count = count
+            bs._bits = left | right
+            bs._even = left_even | right_even
+            bs._minus = left_minus | right_minus
+            yield bs
 
 
 def all_block_sequences(length: int) -> Iterator[BlockSequence]:

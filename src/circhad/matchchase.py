@@ -277,7 +277,7 @@ def _lag_pairs(bs: BlockSequence, u: int) -> list[MatchedPair]:
     """
     mod = bs._count
     both, flips = _lag_masks(bs._even, bs._minus, u, mod)
-    plus = both & ~flips
+    plus = both ^ flips  # flips lies within both
     pairs = []
     while plus and flips:
         low_plus = plus & -plus

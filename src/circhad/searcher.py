@@ -12,11 +12,13 @@ optional prunes cut branches:
   _minus_ok_ends).
 * prefix-paf: the settled part of each periodic autocorrelation lag is
   bounded by the number of still-undetermined terms; a branch that cannot
-  reach zero at some lag is cut.  The state is one packed integer with a
-  counter of settled -1 products per lag (see _PackedLags), so setting a
-  position and testing every lag are a few integer operations, not a loop
-  over the L/2 lags.  The state is passed down the recursion; nothing is
-  undone on the way back.
+  reach zero at some lag is cut.  That happens exactly when the settled
+  products of one sign, -1 or +1, outnumber L/2.  The state is one packed
+  integer with a counter of settled -1 products per lag (see _PackedLags),
+  so setting a position and testing every lag for both signs are a few
+  additions, a subtraction, an | and an & on nonnegative integers, not a
+  loop over the L/2 lags.  The state is passed down the recursion; nothing
+  is undone on the way back.
 
 The tables of both prunes are built once per search, before any shard is
 walked, and every shard reads them; they are freed with the search.  The
@@ -208,15 +210,22 @@ class _PackedLags:
     W-bit field at bit W*(u-1) of ``neg`` counts the settled products
     h[k]h[k+u mod L] that are -1.  A lag with ``settled`` products settled
     has partial sum settled - 2*neg and L - settled products undetermined,
-    so |partial| > undetermined holds exactly when neg > L/2 or
-    neg < settled - L/2.  Adding ``upper`` (resp. ``lower[p]``) to ``neg``
-    turns each test into the top ("guard") bit of every field, set (resp.
-    clear) on a violation.  W = L.bit_length() gives 2^(W-1) > L/2, which
-    keeps both sums inside their fields, so no field carries into the next.
+    so |partial| > undetermined holds exactly when one sign outnumbers L/2:
+    neg > L/2 or settled - neg > L/2.  The test is symmetric in the two
+    signs.  Adding ``upper``, 2^(W-1) - 1 - L/2 in every field, to ``neg``
+    sets the top ("guard") bit of a field where neg > L/2; subtracting
+    ``neg`` from ``ceil[p]``, upper + settled in every field once position
+    p is set, sets it where settled - neg > L/2.  W = L.bit_length() gives
+    2^(W-1) > L/2.  Each field of either result lies in [0, 2^W): the first
+    is at most upper + L < 2^W, and the second at least upper >= 0, since
+    neg <= settled in every field.  So no field carries into the next or
+    borrows from it, and both operands stay nonnegative, which keeps
+    CPython's big-int | and & off their two's-complement path.
 
     The increments come from two more packed integers of the prefix: ``rev``
     holds bit h[p-u] in field u (the prefix reversed), and ``fwd`` holds the
     first half forward, h[j] in field j+1, for the products that wrap round.
+    A whole row is read back from ``rev`` alone (see row_bits).
 
     Once every position is set, all L products of each lag are settled, and
     paf(u) = 0 for every u = 1..L/2 (hence, by paf(u) = paf(L-u), for every
@@ -240,20 +249,20 @@ class _PackedLags:
         # products h[p-u]h[p] (lags u <= p) and h[p]h[p+u-L] (lags u >= L-p)
         # settled by position p; built position by position, since summing
         # every field afresh at every position costs O(L^3) word operations
-        back, wrap, lower = [], [], []
+        back, wrap, ceil = [], [], []
         b = w = 0
-        low = (top + half) * ones
+        c = self.upper
         for p in range(L):
             if 1 <= p <= half:
                 b += unit(p)
             if p >= L - half:
                 w += unit(L - p)
             # lag u has settled(u, p) = settled(u, p - 1) + [u <= p] + [u >= L - p]
-            low -= b + w
+            c += b + w
             back.append(b)
             wrap.append(w)
-            lower.append(low)
-        self.back, self.wrap, self.lower = tuple(back), tuple(wrap), tuple(lower)
+            ceil.append(c)
+        self.back, self.wrap, self.ceil = tuple(back), tuple(wrap), tuple(ceil)
         self.both = tuple(b + w for b, w in zip(back, wrap))
         self.shift = tuple(W * (L - p - 1) for p in range(L))
         self.spread = tuple(1 << W * p if p < half else 0 for p in range(L))
@@ -267,7 +276,13 @@ class _PackedLags:
 
     def cut(self, p: int, neg: int) -> bool:
         """True when some lag can no longer reach zero once position p is set."""
-        return bool(((neg + self.upper) | ~(neg + self.lower[p])) & self.guard)
+        return bool(((neg + self.upper) | (self.ceil[p] - neg)) & self.guard)
+
+    def row_bits(self, rev: int) -> int:
+        """The packed row (bit k set for h[k] = -1) of a whole row whose
+        ``rev`` holds h[L-1-k] in field k."""
+        W, last = self.width, len(self.back) - 1
+        return sum((rev >> W * (last - k) & 1) << k for k in range(last + 1))
 
 
 def _minus_ok_ends(order: int, minus_targets: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -301,30 +316,31 @@ def _run_shard(
     use_paf = PRUNE_PREFIX_PAF in prunes
     W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
     # the six per-position tables, read as one tuple per position
-    tables = lags.back, lags.shift, lags.wrap, lags.lower, lags.both, lags.spread
+    tables = lags.back, lags.shift, lags.wrap, lags.ceil, lags.both, lags.spread
     rows = tuple(zip(*tables))
     examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
     poll = _DEADLINE_POLL
 
-    def found(bits: int) -> None:
+    def found(rev: int) -> None:
         # only a leaf whose counters all read L/2 can be a hit; the
         # predicate has the last word on it
-        seq = SignSequence.from_bits(L, bits)
+        seq = SignSequence.from_bits(L, lags.row_bits(rev))
         if is_circulant_hadamard(seq):
             hits.append(seq.text)
 
     # _PackedLags.settle and .cut inlined: this is the hot loop.  A child
     # at the last position is a leaf, counted and tested here without a
-    # call; leaves do not read the deadline.
-    def dfs(p: int, bits: int, rev: int, fwd: int, neg: int, minus: int) -> None:
+    # call; leaves do not read the deadline.  The row itself is not carried:
+    # the rare leaf that reaches found reads it back from rev.
+    def dfs(p: int, rev: int, fwd: int, neg: int, minus: int) -> None:
         nonlocal examined, rowsum_cuts, paf_cuts, poll
         poll -= 1
         if not poll:
             poll = _DEADLINE_POLL
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
-        back, shift, wrap, lo, both, spread = rows[p]
+        back, shift, wrap, ceil, both, spread = rows[p]
         inc = (rev & back) + ((fwd << shift) & wrap)
         rev <<= W
         # h[p] = +1: the settled products with h[p] are -1 where the other
@@ -332,27 +348,27 @@ def _run_shard(
         n = neg + inc
         if p >= ends[minus]:
             rowsum_cuts += 1
-        elif use_paf and ((n + upper) | ~(n + lo)) & guard:
+        elif use_paf and ((n + upper) | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, bits, rev, fwd, n, minus)
+            dfs(p + 1, rev, fwd, n, minus)
         else:
             examined += 1
             if n == balanced:
-                found(bits)
+                found(rev)
         # h[p] = -1: the complementary products are -1
         n = neg + both - inc
         minus += 1
         if p >= ends[minus]:
             rowsum_cuts += 1
-        elif use_paf and ((n + upper) | ~(n + lo)) & guard:
+        elif use_paf and ((n + upper) | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, bits | 1 << p, rev | 1, fwd | spread, n, minus)
+            dfs(p + 1, rev | 1, fwd | spread, n, minus)
         else:
             examined += 1
             if n == balanced:
-                found(bits | 1 << p)
+                found(rev | 1)
 
     # the walk recurses once per position, so a large order needs more
     # frames than the default limit allows
@@ -363,10 +379,9 @@ def _run_shard(
             raise _Stop
         # the prefix is settled one position at a time with the same checks,
         # in the same order, as a node of the tree; a cut ends the shard
-        bits = rev = fwd = neg = minus = 0
+        rev = fwd = neg = minus = 0
         for p, ch in enumerate(prefix):
             bit = 1 if ch == "-" else 0
-            bits |= bit << p
             minus += bit
             rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
             if p >= ends[minus]:
@@ -377,12 +392,12 @@ def _run_shard(
                 break
         else:
             if len(prefix) < L:
-                dfs(len(prefix), bits, rev, fwd, neg, minus)
+                dfs(len(prefix), rev, fwd, neg, minus)
             else:
                 # at order 4 the prefix is a whole row, a leaf
                 examined += 1
                 if neg == balanced:
-                    found(bits)
+                    found(rev)
         completed = True
     except _Stop:
         completed = False

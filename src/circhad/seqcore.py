@@ -243,8 +243,10 @@ def _paf_vanishes(support: int, neg: int, L: int) -> bool:
     total = weight - 2 * neg.bit_count()
     if total * total != weight:
         return False
+    # _lag_masks inlined: paf(u) = popcount(both) - 2 * popcount(flips)
     for u in range(1, L // 2 + 1):
-        if _ternary_paf(support, neg, u, L):
+        both = support & (support >> u | support << (L - u))
+        if both.bit_count() != 2 * (both & (neg ^ (neg >> u | neg << (L - u)))).bit_count():
             return False
     return True
 

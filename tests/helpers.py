@@ -257,11 +257,11 @@ def reference_search(order: int, prunes) -> tuple[int, dict, tuple]:
 
 
 def reference_packed_lag_tables(L: int) -> tuple[tuple[int, ...], ...]:
-    """(back, wrap, lower), the per-position tables of searcher._PackedLags,
+    """(back, wrap, ceil), the per-position tables of searcher._PackedLags,
     from their direct definition with every W-bit field summed afresh:
     ``back`` and ``wrap`` hold
     a 1 in field u for each product h[p-u]h[p], resp. h[p]h[p+u-L], settled
-    by position p, and ``lower`` holds 2^(W-1) + L/2 - settled(u, p)."""
+    by position p, and ``ceil`` holds 2^(W-1) - 1 - L/2 + settled(u, p)."""
     half = L // 2
     W = L.bit_length()
     top = 1 << (W - 1)
@@ -276,7 +276,7 @@ def reference_packed_lag_tables(L: int) -> tuple[tuple[int, ...], ...]:
     return (
         tuple(fields((u, 1) for u in lags if u <= p) for p in range(L)),
         tuple(fields((u, 1) for u in lags if u >= L - p) for p in range(L)),
-        tuple(fields((u, top + half - settled(u, p)) for u in lags) for p in range(L)),
+        tuple(fields((u, top - 1 - half + settled(u, p)) for u in lags) for p in range(L)),
     )
 
 

@@ -526,6 +526,8 @@ def _check_packed_lags(row) -> bool:
             assert neg >> lags.width * (u - 1) & field == settled.count(-1)
             direct = direct or abs(sum(settled)) > L - len(settled)
         assert lags.cut(p, neg) == direct
+    # the whole row reads back from rev alone
+    assert lags.row_bits(rev) == SignSequence(row).bits
     balanced = neg == lags.balanced
     assert balanced == is_circulant_hadamard(SignSequence(row))
     return balanced
@@ -541,7 +543,7 @@ def test_packed_lag_tables_match_direct_definition():
     # field of every position afresh
     for L in range(4, 201):
         lags = _PackedLags(L)
-        assert (lags.back, lags.wrap, lags.lower) == reference_packed_lag_tables(L), L
+        assert (lags.back, lags.wrap, lags.ceil) == reference_packed_lag_tables(L), L
 
 
 def test_minus_ok_table_matches_direct_definition():
@@ -559,6 +561,46 @@ def test_packed_leaf_verdict_exhaustive_length_four():
         for text in all_sign_texts(4)
     ]
     assert sum(verdicts) == 8
+
+
+@pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
+def test_walk_leaves_report_the_order_four_hits(selection):
+    # with prefix "+" the last three positions are set inside the walk, so
+    # each hit is read back from a leaf's rev, not from the prefix loop
+    result = TestAlternation.walk(4, "+", PRUNE_SELECTIONS[selection])
+    assert result.completed
+    assert result.hits == ("+++-", "++-+", "+-++", "+---")
+
+
+@pytest.mark.parametrize("selection", ["none", "rowsum"])
+def test_walk_leaves_report_the_rows_of_the_balanced_state(monkeypatch, selection):
+    # a chosen row's final state stands in for the balanced one and the
+    # predicate accepts every leaf that reaches found, so the hits are the
+    # rows that the walk reads back from rev at those leaves
+    L, prunes = 12, PRUNE_SELECTIONS[selection]
+    lags = _PackedLags(L)
+
+    def state(text):
+        rev = fwd = neg = 0
+        for p, ch in enumerate(text):
+            rev, fwd, neg = lags.settle(p, int(ch == "-"), rev, fwd, neg)
+        return neg
+
+    chosen = "++-+--+-++++"  # four '-' entries, a row-sum target at order 12
+    targets = _minus_targets(L) if "row-sum" in prunes else None
+    expected = tuple(
+        text
+        for text in all_sign_texts(L)
+        if text[0] == "+"
+        and state(text) == state(chosen)
+        and (targets is None or text.count("-") in targets)
+    )
+    assert chosen in expected and len(expected) > 1
+    lags.balanced = state(chosen)
+    monkeypatch.setattr(searcher, "is_circulant_hadamard", lambda seq: True)
+    result = _run_shard(L, "+", prunes, lags, _minus_ok_ends(L, targets), None)
+    assert result.completed
+    assert result.hits == expected
 
 
 class TestBudgetAndLedger:
