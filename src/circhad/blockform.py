@@ -207,7 +207,7 @@ def block_decompose(h: SignSequence) -> BlockSequence:
     """
     L = len(h)
     if L % 4 != 0:
-        raise ValueError(f"sequence length {L} is not divisible by 4")
+        raise ValueError(f"length {L} is not divisible by 4")
     count, bits = L // 2, h.bits
     return BlockSequence._with_masks(count, bits, *BlockSequence._compression(count, bits))
 

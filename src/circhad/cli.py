@@ -18,16 +18,11 @@ import re
 import sys
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-from . import ALL_PRUNES, PRUNE_PREFIX_PAF, PRUNE_ROW_SUM
-from .seqcore import SignSequence, is_circulant_hadamard, paf, paf_spectrum
-
-# a subcommand loads the layers it runs, and only those: each handler
-# imports blockform, matchchase or searcher itself
-if TYPE_CHECKING:
-    from .blockform import BlockSequence, SymBlockMatrix
-    from .matchchase import ChaseTrace, IndexPair, MatchingBook
+# every library name is read as circhad.<name> when it is used, so the
+# package's lazy lookup loads the layers a subcommand runs, and only those
+import circhad
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +43,21 @@ def _read_file(path: Path) -> str:
 _START = re.compile(r"^(\()?(\d+),(\d+)(?(1)\))$", re.ASCII)
 
 
-def _parse_start(text: str) -> IndexPair:
-    from . import matchchase
-
+def _parse_start(text: str) -> circhad.IndexPair:
     match = _START.match(re.sub(r"\s+", "", text))
     if match is None:
         raise ValueError(f"cannot parse start pair {text!r}; expected i,j")
     try:
-        return matchchase.IndexPair(int(match.group(2)), int(match.group(3)))
+        return circhad.IndexPair(int(match.group(2)), int(match.group(3)))
     except ValueError as exc:
         raise ValueError(f"start pair {text!r}: {exc}") from None
 
 
-def _pair(p: IndexPair | None) -> list[int] | None:
+def _pair(p: circhad.IndexPair | None) -> list[int] | None:
     return None if p is None else [p.first, p.second]
 
 
-def _matrix_rows(m: SymBlockMatrix) -> list[list[int]]:
+def _matrix_rows(m: circhad.SymBlockMatrix) -> list[list[int]]:
     return [list(row) for row in m.rows()]
 
 
@@ -96,7 +89,7 @@ def _run_instances(
         path = Path(args.file)
         sources = [
             (f"{path}: line {number}: ", line.strip())
-            for number, line in enumerate(_read_file(path).splitlines(), start=1)
+            for number, line in enumerate(_read_file(path).split("\n"), start=1)
             if line.strip()
         ]
         if not sources:
@@ -122,13 +115,13 @@ def _render_instances(
 
 
 def _verify_entry(text: str, lag: int | None) -> dict:
-    h = SignSequence.from_text(text)
+    h = circhad.SignSequence.from_text(text)
     return {
         "sequence": h.text,
         "length": len(h),
         "row_sum": h.row_sum(),
-        "paf_spectrum": list(paf_spectrum(h)),
-        "is_circulant_hadamard": is_circulant_hadamard(h),
+        "paf_spectrum": list(circhad.paf_spectrum(h)),
+        "is_circulant_hadamard": circhad.is_circulant_hadamard(h),
     }
 
 
@@ -143,15 +136,15 @@ def _verify_lines(e: dict) -> list[str]:
 
 
 def _paf_entry(text: str, lag: int | None) -> dict:
-    h = SignSequence.from_text(text)
+    h = circhad.SignSequence.from_text(text)
     entry: dict = {"sequence": h.text, "length": len(h)}
     if lag is None:
-        entry["paf_spectrum"] = list(paf_spectrum(h))
+        entry["paf_spectrum"] = list(circhad.paf_spectrum(h))
     elif not 0 <= lag < len(h):
         raise ValueError(f"lag {lag} out of range for length {len(h)}")
     else:
         entry["lag"] = lag
-        entry["value"] = paf(h, lag)
+        entry["value"] = circhad.paf(h, lag)
     return entry
 
 
@@ -162,20 +155,16 @@ def _paf_lines(e: dict) -> list[str]:
 
 
 def _decompose_entry(text: str, lag: int | None) -> dict:
-    from . import blockform
-
-    h = SignSequence.from_text(text)
-    if len(h) % 4 != 0:
-        raise ValueError(f"length {len(h)} is not divisible by 4")
-    bs = blockform.block_decompose(h)
+    h = circhad.SignSequence.from_text(text)
+    bs = circhad.block_decompose(h)
     return {
         "sequence": h.text,
         "blocks": bs.text,
         "parities": [str(b.parity) for b in bs],
-        "even_count": blockform.even_count(bs),
+        "even_count": circhad.even_count(bs),
         "n": bs.n,
         "even_blocks": [
-            {"index": i, "symmetric": blockform.is_symmetric_even(bs, i)}
+            {"index": i, "symmetric": circhad.is_symmetric_even(bs, i)}
             for i in bs.even_indices()
         ],
     }
@@ -195,11 +184,9 @@ def _decompose_lines(e: dict) -> list[str]:
 
 
 def _eqn1_entry(text: str, lag: int | None) -> dict:
-    from . import blockform
-
-    bs = blockform.BlockSequence.from_text(text)
+    bs = circhad.BlockSequence.from_text(text)
     if lag is None:
-        residuals = [blockform.cancellation_residual(bs, u) for u in range(1, len(bs))]
+        residuals = [circhad.cancellation_residual(bs, u) for u in range(1, len(bs))]
         return {
             "blocks": bs.text,
             "residuals": [
@@ -210,7 +197,7 @@ def _eqn1_entry(text: str, lag: int | None) -> dict:
         }
     if not 1 <= lag < len(bs):
         raise ValueError(f"lag {lag} out of range for {len(bs)} blocks")
-    residual = blockform.cancellation_residual(bs, lag)
+    residual = circhad.cancellation_residual(bs, lag)
     return {
         "blocks": bs.text,
         "lag": lag,
@@ -235,26 +222,22 @@ def _eqn1_lines(e: dict) -> list[str]:
     return lines
 
 
-def _read_book(path: Path, bs: BlockSequence) -> tuple[MatchingBook, list[str]]:
+def _read_book(path: Path, bs: circhad.BlockSequence) -> tuple[circhad.MatchingBook, list[str]]:
     """The matching book in a file, and its violations against the block row."""
-    from . import matchchase
-
     text = _read_file(path)
     try:
-        book = matchchase.parse_matching_lines(text.splitlines())
+        book = circhad.parse_matching_lines(text.split("\n"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     problems = []
     for m in book.matchings():
-        verdict = matchchase.validate_matching(bs, m)
+        verdict = circhad.validate_matching(bs, m)
         problems += [f"lag {m.lag}: {v}" for v in verdict.violations]
     return book, problems
 
 
 def _cmd_match(args: argparse.Namespace) -> tuple[dict, object, bool]:
-    from . import blockform, matchchase
-
-    bs = blockform.BlockSequence.from_text(args.blocks)
+    bs = circhad.BlockSequence.from_text(args.blocks)
     inputs: dict = {"blocks": args.blocks}
     if args.matchings is not None:
         if args.lag is not None:
@@ -263,7 +246,7 @@ def _cmd_match(args: argparse.Namespace) -> tuple[dict, object, bool]:
         book, violations = _read_book(Path(args.matchings), bs)
         result = {
             "blocks": bs.text,
-            "matchings": matchchase.render_matching_lines(book),
+            "matchings": circhad.render_matching_lines(book),
             "violations": violations,
             "valid": not violations,
         }
@@ -274,9 +257,9 @@ def _cmd_match(args: argparse.Namespace) -> tuple[dict, object, bool]:
     for u in lags:
         if not 1 <= u < len(bs):
             raise ValueError(f"lag {u} out of range for {len(bs)} blocks")
-        found = matchchase.find_matching(bs, u)
+        found = circhad.find_matching(bs, u)
         matched = set(found.index_pairs())
-        unmatched = [_pair(p) for p in matchchase.even_pairs_at_lag(bs, u) if p not in matched]
+        unmatched = [_pair(p) for p in circhad.even_pairs_at_lag(bs, u) if p not in matched]
         per_lag.append(
             {
                 "lag": u,
@@ -314,15 +297,14 @@ def _render_match(r: dict) -> str:
     return "\n".join(lines)
 
 
-def _chase_doc(bs: BlockSequence, book: MatchingBook, start: IndexPair, trace: ChaseTrace) -> dict:
+def _chase_doc(bs: circhad.BlockSequence, book: circhad.MatchingBook,
+               start: circhad.IndexPair, trace: circhad.ChaseTrace) -> dict:
     """The fields chase and counterexample share: the block row, the book,
     the start and the trace of the chase from it."""
-    from . import matchchase
-
     return {
         "blocks": bs.text,
         "start": _pair(start),
-        "matchings": matchchase.render_matching_lines(book),
+        "matchings": circhad.render_matching_lines(book),
         "trace": {
             "steps": [
                 {"obligation": _pair(s.obligation), "matched": _pair(s.matched)}
@@ -358,21 +340,15 @@ def _trace_lines(payload: dict) -> list[str]:
 
 
 def _cmd_chase(args: argparse.Namespace) -> tuple[dict, object, bool]:
-    from . import blockform, matchchase
-
-    bs = blockform.BlockSequence.from_text(args.blocks)
-    if args.matchings is None:
-        raise ValueError("chase needs --matchings")
-    if args.start is None:
-        raise ValueError("chase needs --start i,j")
+    bs = circhad.BlockSequence.from_text(args.blocks)
     inputs = {"blocks": args.blocks, "matchings": args.matchings, "start": args.start}
     path = Path(args.matchings)
     book, problems = _read_book(path, bs)
     if problems:
         raise ValueError(f"{path}: invalid matchings\n" + "\n".join(problems))
     start = _parse_start(args.start)
-    trace = matchchase.chase(bs, book, start)
-    outcome = matchchase.ChaseOutcome
+    trace = circhad.chase(bs, book, start)
+    outcome = circhad.ChaseOutcome
     ok = trace.outcome in (outcome.CYCLE, outcome.DEGENERATE)
     return inputs, _chase_doc(bs, book, start, trace), ok
 
@@ -385,13 +361,11 @@ def _render_chase(r: dict) -> str:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, object, bool]:
-    from . import blockform, matchchase
-
-    bs, book, start = matchchase.counterexample()
+    bs, book, start = circhad.counterexample()
     even = bs.even_indices()
-    symmetric = {i: blockform.is_symmetric_even(bs, i) for i in even}
-    validations = [matchchase.validate_matching(bs, m) for m in book.matchings()]
-    trace = matchchase.chase(bs, book, start)
+    symmetric = {i: circhad.is_symmetric_even(bs, i) for i in even}
+    validations = [circhad.validate_matching(bs, m) for m in book.matchings()]
+    trace = circhad.chase(bs, book, start)
     checks = [
         {
             "name": "even blocks are {0,2,4}",
@@ -410,7 +384,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> tuple[dict, object, bool]:
         },
         {
             "name": "chase outcome is Cycle",
-            "pass": trace.outcome is matchchase.ChaseOutcome.CYCLE,
+            "pass": trace.outcome is circhad.ChaseOutcome.CYCLE,
             "detail": str(trace.outcome),
         },
     ]
@@ -429,18 +403,16 @@ def _render_counterexample(r: dict) -> str:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[dict, object, bool]:
-    from . import searcher
-
     prunes: frozenset[str]
     if args.prune is None:
-        prunes = ALL_PRUNES
+        prunes = circhad.ALL_PRUNES
     elif "none" in args.prune:
         if len(set(args.prune)) > 1:
             raise ValueError("--prune none cannot be combined with other prunes")
         prunes = frozenset()
     else:
         prunes = frozenset(args.prune)
-    cfg = searcher.SearchConfig(
+    cfg = circhad.SearchConfig(
         order=args.order,
         prunes=prunes,
         workers=args.workers,
@@ -448,7 +420,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, object, bool]:
         budget_seconds=args.budget_seconds,
         ledger_path=args.ledger,
     )
-    report = searcher.search(cfg)
+    report = circhad.search(cfg)
     inputs = {
         "order": args.order,
         "prunes": sorted(prunes),
@@ -539,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chase", parents=[common], help="run the obligation chase")
     p.add_argument("blocks")
-    p.add_argument("--matchings", help="matching file, one 'u=..: (i,j)~(l,m)' per line")
-    p.add_argument("--start", help="starting obligation, e.g. 0,2")
+    p.add_argument("--matchings", required=True,
+                   help="matching file, one 'u=..: (i,j)~(l,m)' per line")
+    p.add_argument("--start", required=True, help="starting obligation, e.g. 0,2")
     p.set_defaults(handler=_cmd_chase, render=_render_chase)
 
     p = sub.add_parser(
@@ -555,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prune",
         action="append",
-        choices=(PRUNE_ROW_SUM, PRUNE_PREFIX_PAF, "none"),
+        choices=(circhad.PRUNE_ROW_SUM, circhad.PRUNE_PREFIX_PAF, "none"),
         help="prune selection; repeatable; default is all prunes",
     )
     p.add_argument(

@@ -114,16 +114,8 @@ class LagMatching(_Record):
 
     @classmethod
     def of(cls, lag: int, pairs: Iterable[tuple[IndexPair, IndexPair]]) -> "LagMatching":
-        canonical = []
         seen: set[IndexPair] = set()
-        for p, q in pairs:
-            if p == q:
-                raise ValueError(f"{p} cannot be matched with itself")
-            for member in (p, q):
-                if member in seen:
-                    raise ValueError(f"index pair {member} is matched more than once")
-                seen.add(member)
-            canonical.append((min(p, q), max(p, q)))
+        canonical = [_claim(seen, p, q) for p, q in pairs]
         return cls(lag, tuple(sorted(canonical)))
 
     def index_pairs(self) -> tuple[IndexPair, ...]:
@@ -134,6 +126,19 @@ class LagMatching(_Record):
 
     def __iter__(self):
         return iter(self.pairs)
+
+
+def _claim(seen: set[IndexPair], p: IndexPair, q: IndexPair) -> MatchedPair:
+    """The 2-set {p, q} in canonical order, matched at a lag whose index
+    pairs matched so far are seen; adds p and q to seen.  Raises ValueError
+    if p is q or either is matched already."""
+    if p == q:
+        raise ValueError(f"{p} cannot be matched with itself")
+    for member in (p, q):
+        if member in seen:
+            raise ValueError(f"index pair {member} is matched more than once")
+        seen.add(member)
+    return (min(p, q), max(p, q))
 
 
 class MatchingBook:
@@ -430,7 +435,8 @@ def parse_matching_lines(lines: Iterable[str]) -> MatchingBook:
     with the same lag accumulate into one matching.  Raises ValueError with
     the offending line number on any malformed line or reused index pair.
     """
-    by_lag: dict[int, list[tuple[IndexPair, IndexPair]]] = {}
+    by_lag: dict[int, list[MatchedPair]] = {}
+    seen: dict[int, set[IndexPair]] = {}
     for lineno, raw in enumerate(lines, start=1):
         stripped = re.sub(r"\s+", "", raw)
         if not stripped:
@@ -440,11 +446,11 @@ def parse_matching_lines(lines: Iterable[str]) -> MatchingBook:
             raise ValueError(f"line {lineno}: cannot parse matching {raw.strip()!r}")
         u, i, j, l, m = (int(g) for g in match.groups())
         try:
-            entry = (IndexPair(i, j), IndexPair(l, m))
+            entry = _claim(seen.setdefault(u, set()), IndexPair(i, j), IndexPair(l, m))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         by_lag.setdefault(u, []).append(entry)
-    return MatchingBook(LagMatching.of(u, ps) for u, ps in sorted(by_lag.items()))
+    return MatchingBook(LagMatching(u, tuple(sorted(ps))) for u, ps in sorted(by_lag.items()))
 
 
 def render_matching_lines(book: MatchingBook) -> list[str]:

@@ -597,16 +597,15 @@ class _ShardLedger:
     def _load(self, text: str) -> int:
         """Accept the header and the records of text, whole lines only, and
         return the length of text up to the end of its last done line."""
-        lines = text.splitlines(keepends=True)
-        if not lines or lines[0].splitlines() != [self.header]:
+        lines = text.split("\n")[:-1]  # text is empty or ends with "\n"
+        if not lines or lines[0].removesuffix("\r") != self.header:
             raise ValueError(
                 f"ledger {self.path} does not match this search configuration"
             )
-        kept = len(lines[0])
-        end = kept
+        kept = end = len(lines[0]) + 1
         pending_hits: dict[str, list[str]] = {}
         for number, line in enumerate(lines[1:], start=2):
-            end += len(line)
+            end += len(line) + 1
             tokens = line.split()
             if not tokens:
                 continue

@@ -139,7 +139,7 @@ class TestDecompose:
 
     def test_rejects_bad_length(self):
         for text in ("+", "+-", "+-+", "+-+-+-"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^length {len(text)} is not divisible by 4$"):
                 block_decompose(seq(text))
 
     def test_roundtrip(self):

@@ -84,6 +84,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    def test_inline_and_file_refused(self, capsys, tmp_path):
+        corpus = tmp_path / "seqs.txt"
+        corpus.write_text("-+++\n")
+        code, out, err = run(capsys, "verify", "--file", str(corpus), "--", "-+++")
+        assert (code, out) == (2, "")
+        assert err == "error: give the sequence either inline or via --file, not both\n"
+
+    def test_file_without_instances_refused(self, capsys, tmp_path):
+        corpus = tmp_path / "blank.txt"
+        corpus.write_text("\n  \n\t\n")
+        code, out, err = run(capsys, "verify", "--file", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == f"error: {corpus} contains no instances\n"
+
 
 class TestPaf:
     def test_spectrum(self, capsys):
@@ -118,6 +132,7 @@ class TestDecompose:
     def test_bad_length(self, capsys):
         code, _, err = run(capsys, "decompose", "+-+")
         assert code == 2
+        assert err == "error: length 3 is not divisible by 4\n"
 
 
 class TestEqn1:
@@ -192,6 +207,12 @@ class TestMatch:
         assert doc["result"]["violations"] == ["lag 8: lag 8 is outside 1..5 for 6 blocks"]
         assert doc["result"]["valid"] is False
 
+    @pytest.mark.parametrize("lag", ["0", "6", "-1"])
+    def test_lag_out_of_range_exit_two(self, capsys, lag):
+        code, out, err = run(capsys, "match", COUNTEREXAMPLE_BLOCKS, "--lag", lag)
+        assert (code, out) == (2, "")
+        assert err == f"error: lag {lag} out of range for 6 blocks\n"
+
     def test_lag_with_matchings_refused(self, capsys, tmp_path):
         matchings = tmp_path / "m.txt"
         matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
@@ -258,6 +279,51 @@ class TestChase:
         )
         assert code == 1
         assert doc["result"]["trace"]["outcome"] == "MatchingUnavailable"
+
+    def test_unmatched_obligation_text(self, capsys, tmp_path):
+        matchings = tmp_path / "empty.txt"
+        matchings.write_text("\n")
+        code, out, _ = run(
+            capsys, "chase", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", "0,2"
+        )
+        assert code == 1
+        assert out.endswith(
+            "step 1: obligation (0,2) has no matched pair\noutcome: MatchingUnavailable\n"
+        )
+
+    @pytest.mark.parametrize(
+        "given,missing",
+        [
+            (["--start", "0,2"], "--matchings"),
+            (["--matchings", "m.txt"], "--start"),
+            ([], "--matchings, --start"),
+        ],
+        ids=["no-matchings", "no-start", "neither"],
+    )
+    def test_required_option_missing_exit_two(self, capsys, input_dir, given, missing):
+        code, out, err = run(capsys, "chase", COUNTEREXAMPLE_BLOCKS, *given)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            ("u=2: (0,2)~(4,0)", "index pair (0,2) is matched more than once"),
+            ("u=4: (0,4)~(0,4)", "(0,4) cannot be matched with itself"),
+            ("u=4: (0,4)~(4,4)", "pair indices must differ"),
+        ],
+        ids=["reused", "self", "equal-indices"],
+    )
+    def test_bad_matching_pair_names_its_line(self, capsys, tmp_path, second, message):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(f"u=2: (0,2)~(2,4)\n{second}\n")
+        for command in (["match"], ["chase", "--start", "0,2"]):
+            code, out, err = run(
+                capsys, command[0], COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings),
+                *command[1:],
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: {matchings}: line 2: {message}\n"
 
     def test_invalid_matchings_exit_two(self, capsys, tmp_path):
         matchings = tmp_path / "bad.txt"
@@ -419,6 +485,38 @@ class TestSearchCommand:
         assert out == ""
         assert f"ledger {ledger} line 3: shard prefix with no status" in err
 
+    def test_blank_ledger_line_skipped(self, capsys, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        argv = ("search", "--format", "json", "--order", "8", "--prune", "none",
+                "--ledger", str(ledger))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = ledger.read_text().splitlines()
+        lines.insert(5, "  ")
+        text = "\n".join(lines) + "\n"
+        ledger.write_text(text)
+        resumed_code, resumed, _ = run(capsys, *argv)
+        assert resumed_code == 0
+        # every shard was read from the ledger: none ran again and was appended
+        assert ledger.read_text() == text
+        first, again = strict_json(out)["result"], strict_json(resumed)["result"]
+        first.pop("elapsed_seconds"), again.pop("elapsed_seconds")
+        assert again == first
+
+    @pytest.mark.parametrize("separator", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
+    def test_ledger_lines_end_at_newline_only(self, capsys, tmp_path, separator):
+        # the separator inside line 2 parts its fields but ends no line, so
+        # the bad record is line 3
+        ledger = tmp_path / "shards.ledger"
+        argv = ("search", "--order", "8", "--prune", "none", "--ledger", str(ledger))
+        assert run(capsys, *argv)[0] == 0
+        header, first, *_ = ledger.read_text().splitlines()
+        record = first.replace(" examined", separator + "examined")
+        ledger.write_text(f"{header}\n{record}\n+++++- bogus\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: ledger {ledger} line 3: unknown status 'bogus'\n"
+
     def test_shard_recorded_twice_exit_two(self, capsys, tmp_path):
         ledger = tmp_path / "shards.ledger"
         argv = ("search", "--order", "4", "--prune", "prefix-paf", "--ledger", str(ledger))
@@ -515,6 +613,41 @@ def test_bad_corpus_line_names_file_and_line(capsys, tmp_path, argv, lines, mess
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {corpus}: line 3: {message}")
+
+
+@pytest.mark.parametrize("separator", ["\f", "\u2028"], ids=["form-feed", "line-separator"])
+class TestInputLinesEndAtNewlineOnly:
+    # str.splitlines would also end a line at \f, \u2028 and a few more
+
+    def test_instance_file_line_number(self, capsys, tmp_path, separator):
+        corpus = tmp_path / "seqs.txt"
+        corpus.write_text(f"-+++{separator}+*++\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {corpus}: line 1: invalid character {separator!r} at position 4; "
+            "expected '+' or '-'\n"
+        )
+
+    def test_instance_file_one_instance_per_line(self, capsys, tmp_path, separator):
+        corpus = tmp_path / "blocks.txt"
+        corpus.write_text(COUNTEREXAMPLE_BLOCKS.replace(",", "," + separator, 1) + "\n",
+                          encoding="utf-8")
+        code, doc, _ = run_json(capsys, "eqn1", "--file", str(corpus))
+        assert code == 1
+        assert doc["inputs"]["count"] == 1
+        assert doc["result"][0] == run_json(capsys, "eqn1", COUNTEREXAMPLE_BLOCKS)[1]["result"]
+
+    def test_matching_file(self, capsys, tmp_path, separator):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(
+            COUNTEREXAMPLE_MATCHINGS.replace("~", "~" + separator), encoding="utf-8"
+        )
+        argv = (COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", "0,2")
+        code, doc, _ = run_json(capsys, "chase", *argv)
+        assert code == 0
+        assert doc["result"]["matchings"] == COUNTEREXAMPLE_MATCHINGS.splitlines()
+        assert doc["result"]["trace"]["outcome"] == "Cycle"
 
 
 class TestJsonRoundTrip:

@@ -469,5 +469,15 @@ class TestMatchingLines:
             parse_matching_lines([line])
 
     def test_reused_pair_rejected(self):
-        with pytest.raises(ValueError):
+        reused = r"^line 2: index pair \(0,2\) is matched more than once$"
+        with pytest.raises(ValueError, match=reused):
             parse_matching_lines(["u=2: (0,2)~(2,4)", "u=2: (0,2)~(4,0)"])
+
+    def test_self_match_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^line 3: \(0,2\) cannot be matched with itself$"):
+            parse_matching_lines(["u=2: (0,2)~(2,4)", "", "u=4: (0,2)~(0,2)"])
+
+    def test_pairs_are_claimed_per_lag(self):
+        book = parse_matching_lines(["u=2: (0,2)~(2,4)", "u=4: (2,4)~(0,2)"])
+        matched = ((pair(0, 2), pair(2, 4)),)
+        assert book.matching_at(2).pairs == book.matching_at(4).pairs == matched

@@ -121,3 +121,42 @@ def test_unknown_attribute_is_named(module):
         module.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec(f"from {module.__name__} import no_such_name", {})
+
+
+def _layer_imports(source: str) -> list[str]:
+    """The layer modules that import statements anywhere in source, a module
+    of the circhad package, name: at module level or inside a function."""
+    layers = {f"circhad.{name}" for name in circhad._NAMES}
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "circhad" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            named += [module, *(f"{module}.{alias.name}" for alias in node.names)]
+    return sorted({m for m in named for layer in layers if m == layer or m.startswith(layer + ".")})
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .seqcore import paf",
+        "from . import blockform",
+        "def f():\n    from . import matchchase, searcher",
+        "import circhad.searcher",
+        "from circhad import seqcore",
+        "from circhad.blockform import recompose as r",
+    ],
+)
+def test_layer_import_forms_are_seen(source):
+    assert _layer_imports(source)
+
+
+def test_cli_reads_layers_only_through_the_package():
+    # a layer imported by cli.py itself would be a second lazy-loading path
+    # beside the package's __getattr__, and LOAD_MAP cannot see one that is
+    # local to a function whose subcommand loads that layer anyway
+    source = (SRC / "circhad" / "cli.py").read_text(encoding="utf-8")
+    assert _layer_imports(source) == []
+    assert "TYPE_CHECKING" not in source
