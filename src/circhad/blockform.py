@@ -16,8 +16,11 @@ cancellation residual at lag u is 2 * sum(d_i * d_{i+u}) * J over the i
 where M_i and M_{i+u} are both even.  That is 2 * paf(c, u) * J for the
 compression c_d = (h[d] + h[d+2n]) / 2, the diagonal sign of an even M_d
 and 0 for an odd one.  A block sequence is stored as its packed sign row
-h; BlockSequence._compression derives c from it as two masks, and the
-ternary paf kernel in seqcore computes the residual from those.
+h; BlockSequence._compression derives c from it as two masks.  A row
+keeps a lag table, filled one lag at a time on first use: the entry at
+lag u is seqcore._lag_masks of c, the masks (both, flips) from which the
+residual here and the matchings in matchchase are read, so each is built
+once per row however many of them a row is asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 from typing import Callable, Iterable, Iterator
 
 from . import _NAMES
-from .seqcore import SignSequence, _paf_vanishes, _Record, _set_bits, _set_field, _ternary_paf
+from .seqcore import SignSequence, _lag_masks, _paf_vanishes, _Record, _set_bits, _set_field
 
 __all__ = [*_NAMES["blockform"]]
 
@@ -116,10 +119,12 @@ class BlockSequence:
     """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n.
 
     Stored as its packed sign row of order 4n: bit d is block d's diagonal
-    and bit d + 2n its off-diagonal, set for -1.
+    and bit d + 2n its off-diagonal, set for -1.  The lag table _lags is
+    left unset until _lag first reads it, so rows that never ask for a lag
+    (the eq. (1) enumeration) pay nothing for it.
     """
 
-    __slots__ = ("_count", "_bits", "_even", "_minus")
+    __slots__ = ("_count", "_bits", "_even", "_minus", "_lags")
 
     def __init__(self, blocks: Iterable[TwoBlock]) -> None:
         items = tuple(blocks)
@@ -154,6 +159,18 @@ class BlockSequence:
         low = bits & mask
         even = mask ^ low ^ bits >> count
         return even, even & low
+
+    def _lag(self, u: int) -> tuple[int, int]:
+        """(both, flips) of the compression at a lag 1 <= u < 2n, as
+        seqcore._lag_masks gives them; built the first time it is asked."""
+        try:
+            lags = self._lags
+        except AttributeError:
+            lags = self._lags = [None] * self._count
+        masks = lags[u]
+        if masks is None:
+            masks = lags[u] = _lag_masks(self._even, self._minus, u, self._count)
+        return masks
 
     @classmethod
     def from_text(cls, text: str) -> "BlockSequence":
@@ -238,8 +255,10 @@ def _normalized_lag(u: int, mod: int) -> int:
 
 def _residual(bs: BlockSequence, u: int) -> int:
     """The J-coefficient of the even-pair residual at a lag 1 <= u < 2n:
-    each even pair adds 2 * d_i * d_{i+u}, so it is 2 * paf(c, u)."""
-    return 2 * _ternary_paf(bs._even, bs._minus, u, bs._count)
+    each even pair adds 2 * d_i * d_{i+u}, so it is 2 * paf(c, u), read
+    from the lag table as seqcore._ternary_paf reads it from the masks."""
+    both, flips = bs._lag(u)
+    return 2 * (both.bit_count() - 2 * flips.bit_count())
 
 
 def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:

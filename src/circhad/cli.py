@@ -44,7 +44,8 @@ _START = re.compile(r"^(\()?(\d+),(\d+)(?(1)\))$", re.ASCII)
 
 
 def _parse_start(text: str) -> circhad.IndexPair:
-    match = _START.match(re.sub(r"\s+", "", text))
+    # whitespace only at the ends and around the separators, not in a number
+    match = _START.match(re.sub(r"\s*([,()])\s*", r"\1", text.strip()))
     if match is None:
         raise ValueError(f"cannot parse start pair {text!r}; expected i,j")
     try:

@@ -19,20 +19,23 @@ The bundled counterexample() instance has three even blocks, none
 symmetric, and its chase cycles after two steps: a matching walk can
 revisit its starting obligation instead of running out of matchings.
 
-Matchings are read from the lag masks of the block sequence's compression
-(seqcore._lag_masks), as the cancellation residual is: ``both`` marks the
-even pairs at lag u and ``flips`` those whose product is -2J, so two even
-pairs negate exactly when one of them flips.  One per-lag routine,
-_lag_pairs, pairs them off by walking the set bits of the two masks;
-find_matching wraps its result, and find_book hands every nonempty one to
-MatchingBook.
+Matchings are read from the block sequence's lag table, as the
+cancellation residual is: BlockSequence._lag(u) holds seqcore._lag_masks
+of the compression, built once per row and lag however many residuals,
+matchings and validations ask for it.  ``both`` marks the even pairs at
+lag u and ``flips`` those whose product is -2J, so two even pairs negate
+exactly when one of them flips.  One per-lag routine, _lag_pairs, pairs
+them off by walking the set bits of the two masks; find_matching wraps
+its result, and find_book hands every nonempty one to MatchingBook.
 
 Only the book keeps a partner table, which MatchingBook.__init__ builds,
 so the chase looks partners up instead of scanning.  A book also keeps a
-step table with the same (lag, first, second) keys, filled as chases
-visit obligations: each ChaseStep is built the first time any chase on
-the book meets its obligation and shared by every later trace, so chasing
-from every start of a row builds each step once.
+step table, filled as chases visit obligations: each ChaseStep is built
+the first time any chase on the book meets its obligation and shared by
+every later trace, so chasing from every start of a row builds each step
+once.  chase builds its steps and its trace without a constructor call,
+setting their slots through the slot descriptors: a chase is a few steps
+long, so the __init__ calls of its records would be a large share of it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Iterable, NamedTuple
 
 from . import _NAMES
 from .blockform import BlockSequence, _normalized_lag, block_product
-from .seqcore import _lag_masks, _Record, _set_bits, _set_field
+from .seqcore import _Record, _set_bits, _set_field
 
 __all__ = [*_NAMES["matchchase"]]
 
@@ -64,8 +67,9 @@ class IndexPair(_Record):
             raise ValueError("pair indices must be nonnegative")
         if first == second:
             raise ValueError("pair indices must differ")
-        _set_field(self, "first", first)
-        _set_field(self, "second", second)
+        # through the slot descriptors, as chase sets its records' slots
+        _set_first(self, first)
+        _set_second(self, second)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -92,6 +96,7 @@ class IndexPair(_Record):
         return f"({self.first},{self.second})"
 
 
+_set_first, _set_second = IndexPair.first.__set__, IndexPair.second.__set__
 # IndexPair is immutable, so find_matching and the chase share instances
 _index_pair = lru_cache(maxsize=1 << 14)(IndexPair)
 
@@ -146,8 +151,9 @@ class MatchingBook:
 
     The partner table maps (lag, first, second) of each matched index pair
     to its partner, the first occurrence winning within a lag.  The step
-    table maps the same keys to the ChaseStep that chase records there; it
-    starts empty and chase fills it.
+    table maps (2n, a), a block count and the fixed first index of a chase,
+    to a dict from the second index b to the ChaseStep that chase records
+    at obligation (a, b); it starts empty and chase fills it.
     """
 
     __slots__ = ("_by_lag", "_partners", "_steps")
@@ -164,7 +170,7 @@ class MatchingBook:
                 partners.setdefault((m.lag, q.first, q.second), p)
         self._by_lag = by_lag
         self._partners = partners
-        self._steps: dict[tuple[int, int, int], ChaseStep] = {}
+        self._steps: dict[tuple[int, int], dict[int, ChaseStep]] = {}
 
     def lags(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_lag))
@@ -237,7 +243,7 @@ def validate_matching(bs: BlockSequence, m: LagMatching) -> ValidationReport:
         return ValidationReport((f"lag {u} is zero modulo {mod}",))
     if not 0 < u < mod:
         return ValidationReport((f"lag {u} is outside 1..{mod - 1} for {mod} blocks",))
-    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
+    both, flips = bs._lag(u)
     violations: list[str] = []
     seen: set[tuple[int, int]] = set()
     for p, q in m.pairs:
@@ -266,7 +272,7 @@ def even_pairs_at_lag(bs: BlockSequence, u: int) -> tuple[IndexPair, ...]:
     """All index pairs (i, i+u) whose blocks are both even, by first index."""
     mod = bs._count
     u = _normalized_lag(u, mod)
-    both, _ = _lag_masks(bs._even, bs._minus, u, mod)
+    both, _ = bs._lag(u)
     return tuple(_index_pair(i, (i + u) % mod) for i in _set_bits(both))
 
 
@@ -281,7 +287,7 @@ def _lag_pairs(bs: BlockSequence, u: int) -> list[MatchedPair]:
     needs no sort.
     """
     mod = bs._count
-    both, flips = _lag_masks(bs._even, bs._minus, u, mod)
+    both, flips = bs._lag(u)
     plus = both ^ flips  # flips lies within both
     pairs = []
     while plus and flips:
@@ -355,6 +361,30 @@ class ChaseTrace(_Record):
         return sum(1 for s in self.steps if s.matched is not None)
 
 
+# an Enum member read through its class costs a lookup each time
+_CYCLE = ChaseOutcome.CYCLE
+_UNAVAILABLE = ChaseOutcome.MATCHING_UNAVAILABLE
+_DEGENERATE = ChaseOutcome.DEGENERATE
+# a slot descriptor's __set__ skips the name lookup of _set_field
+_set_steps = ChaseTrace.steps.__set__
+_set_outcome = ChaseTrace.outcome.__set__
+_set_repeat = ChaseTrace.repeat.__set__
+_set_obligation = ChaseStep.obligation.__set__
+_set_matched = ChaseStep.matched.__set__
+
+
+def _trace(
+    steps: tuple[ChaseStep, ...], outcome: ChaseOutcome, repeat: IndexPair | None
+) -> ChaseTrace:
+    """Trusted constructor for chase: equal to ChaseTrace(steps, outcome,
+    repeat), without the __init__ call."""
+    trace = object.__new__(ChaseTrace)
+    _set_steps(trace, steps)
+    _set_outcome(trace, outcome)
+    _set_repeat(trace, repeat)
+    return trace
+
+
 def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace:
     """Iterate the obligation step rule from start until a terminal outcome.
 
@@ -367,37 +397,43 @@ def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace
     """
     mod = bs._count
     a, b = start.first, start.second
-    if a >= mod or b >= mod:
-        raise ValueError(f"start {start} out of range for {mod} blocks")
     even = bs._even
-    for idx in (a, b):
-        if not even >> idx & 1:
-            raise ValueError(f"start {start} touches odd block {idx}")
-    # is_symmetric_even on a block already known to be even
-    if even >> (a + mod // 2) % mod & 1:
+    # a and b even (bits at 2n and above are clear) and a not symmetric
+    if not even >> a & even >> b & ~(even >> (a + mod // 2) % mod) & 1:
+        if a >= mod or b >= mod:
+            raise ValueError(f"start {start} out of range for {mod} blocks")
+        for idx in (a, b):
+            if not even >> idx & 1:
+                raise ValueError(f"start {start} touches odd block {idx}")
         raise ValueError(
             f"block {a} is symmetric; the chase premise needs a "
             "non-symmetric even block"
         )
     # the first coordinate never changes, so an obligation is its second
     partners = book._partners
-    table = book._steps
+    table = book._steps.get((mod, a))
+    if table is None:
+        table = book._steps[mod, a] = {}
     steps: list[ChaseStep] = []
     seen = {b}
     while True:
-        key = ((b - a) % mod, a, b)
-        step = table.get(key)
+        step = table.get(b)
         if step is None:
-            step = table[key] = ChaseStep(_index_pair(a, b), partners.get(key))
+            # ChaseStep(obligation, matched) without the __init__ call,
+            # stored once both slots are set
+            step = object.__new__(ChaseStep)
+            _set_obligation(step, _index_pair(a, b))
+            _set_matched(step, partners.get(((b - a) % mod, a, b)))
+            table[b] = step
         steps.append(step)
         partner = step.matched
         if partner is None:
-            return ChaseTrace(tuple(steps), ChaseOutcome.MATCHING_UNAVAILABLE)
+            return _trace(tuple(steps), _UNAVAILABLE, None)
         b = partner.second
         if b == a:
-            return ChaseTrace(tuple(steps), ChaseOutcome.DEGENERATE)
+            return _trace(tuple(steps), _DEGENERATE, None)
         if b in seen:
-            return ChaseTrace(tuple(steps), ChaseOutcome.CYCLE, repeat=_index_pair(a, b))
+            return _trace(tuple(steps), _CYCLE, _index_pair(a, b))
         seen.add(b)
 
 
@@ -431,14 +467,18 @@ _MATCHING_LINE = re.compile(r"^u=(\d+):\((\d+),(\d+)\)~\((\d+),(\d+)\)$", re.ASC
 def parse_matching_lines(lines: Iterable[str]) -> MatchingBook:
     """Parse 'u=<lag>: (i,j)~(l,m)' lines into a matching book.
 
-    Whitespace is ignored everywhere and blank lines are skipped.  Lines
-    with the same lag accumulate into one matching.  Raises ValueError with
-    the offending line number on any malformed line or reused index pair.
+    Whitespace is allowed at the ends of a line and around each of
+    ``= : , ( ) ~``, not inside a number, and blank lines are skipped.
+    Lines with the same lag accumulate into one matching.  Raises
+    ValueError with the offending line number on any malformed line or
+    reused index pair.
     """
     by_lag: dict[int, list[MatchedPair]] = {}
     seen: dict[int, set[IndexPair]] = {}
     for lineno, raw in enumerate(lines, start=1):
-        stripped = re.sub(r"\s+", "", raw)
+        # whitespace next to a separator goes; any other, such as a space
+        # inside a number, stays and fails the match (compiled on first use)
+        stripped = re.sub(r"\s*([=:,()~])\s*", r"\1", raw.strip())
         if not stripped:
             continue
         match = _MATCHING_LINE.match(stripped)

@@ -62,12 +62,14 @@ With more than one worker, the calling process forks workers - 1 children
 claims its next shard by reading the shard's index from one pipe.  Each
 child sends its results back over its own pipe, only the calling process
 writes the ledger, and a child that dies makes the search raise
-RuntimeError rather than report its shard.  Each process of the walk first
-moves itself to its own allowed CPU (the caller to the first, child 1 to
-the second and so on, in turn) and then restores its affinity mask: where
-the kernel does not balance load between CPUs (cpuset sched_load_balance
-= 0), a forked child otherwise stays on its parent's CPU and the two share
-it.  Where the kernel does balance load it remains free to move them.
+RuntimeError rather than report its shard.  The calling process moves
+each process of the walk to its own allowed CPU (each child straight after
+its fork, child 1 to the second CPU and so on, in turn, and itself to the
+first) and then restores that process's affinity mask: where the kernel
+does not balance load between CPUs (cpuset sched_load_balance = 0), a
+forked child otherwise stays on its parent's CPU and the two share it.  A
+child that moved itself would first wait there behind its busy parent.
+Where the kernel does balance load it remains free to move them.
 """
 
 from __future__ import annotations
@@ -440,8 +442,9 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
     a pipe filled before any fork.  A child sends each result back over its
     own pipe as one line, a pickle in hex, so a line torn by its death is
     never settled; a nonzero exit of a child raises RuntimeError here.
-    Before its first claim, process i (this one is 0, child k is k) moves
-    to cpus[i % len(cpus)] of the sorted allowed CPUs and restores its mask."""
+    This process moves child k to cpus[k % len(cpus)] of the sorted allowed
+    CPUs straight after forking it, and itself to cpus[0] before its first
+    claim, and gives each its mask back."""
     tasks, feed = os.pipe()
     # _WIDTH bytes a key: the pipe holds them all before anyone reads
     os.write(feed, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(keys))))
@@ -464,14 +467,14 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
         cpus = sorted(os.sched_getaffinity(0))
     children: dict[int, tuple[int, bytes]] = {}  # result pipe: pid, unread bytes
 
-    def place(i: int) -> None:
-        # process i of the walk (0 is this one) moves to its own CPU at once,
-        # then gets its mask back (see the module docstring); a refused move
-        # leaves it where it is
+    def place(pid: int, i: int) -> None:
+        # process i of the walk (0 is this one, pid 0) moves to its own CPU
+        # at once, then gets its mask back (see the module docstring); a
+        # refused move, or one after the child has exited, leaves it be
         if len(cpus) > 1:
             try:
-                os.sched_setaffinity(0, (cpus[i % len(cpus)],))
-                os.sched_setaffinity(0, cpus)
+                os.sched_setaffinity(pid, (cpus[i % len(cpus)],))
+                os.sched_setaffinity(pid, cpus)
             except OSError:
                 pass
 
@@ -504,7 +507,6 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
                 raise
             if pid == 0:
                 try:
-                    place(k)
                     for key in claims():
                         line = pickle.dumps(walk(key)).hex().encode() + b"\n"
                         while line:
@@ -517,11 +519,12 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
+            place(pid, k)
             # the child holds the only write end, so its exit ends the pipe
             os.close(writer)
             children[reader] = (pid, b"")
             poller.register(reader, select.POLLIN)
-        place(0)
+        place(0, 0)
         for key in claims():
             settle(walk(key))
             if children:

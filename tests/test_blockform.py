@@ -15,11 +15,12 @@ from circhad.blockform import (
     block_product,
     cancellation_holds,
     cancellation_residual,
+    enumerate_block_sequences,
     even_count,
     is_symmetric_even,
     recompose,
 )
-from circhad.seqcore import SignSequence, paf
+from circhad.seqcore import SignSequence, _lag_masks, paf
 
 from helpers import (
     all_sign_texts,
@@ -303,6 +304,46 @@ def test_residual_is_twice_the_compression_paf(h):
     bs = block_decompose(h)
     for u in range(1, half):
         assert _residual(bs, u) == 2 * reference_ternary_paf(c, u)
+
+
+class TestLagTable:
+    @staticmethod
+    def assert_table_is_lag_masks(bs, lags):
+        # filled lag by lag in the order given; every read, first or later,
+        # is _lag_masks of the compression
+        count = len(bs)
+        for u in lags:
+            assert bs._lag(u) == _lag_masks(bs._even, bs._minus, u, count)
+        for u in range(1, count):
+            assert bs._lag(u) == _lag_masks(bs._even, bs._minus, u, count)
+
+    @pytest.mark.parametrize("length", [2, 4, 6, 8])
+    def test_every_small_row(self, length):
+        for bs in all_block_sequences(length):
+            self.assert_table_is_lag_masks(bs, range(length - 1, 0, -1))
+
+    def test_seeded_long_rows(self):
+        rng = random.Random(41)
+        for count in (16, 36, 64, 100):
+            for _ in range(3):
+                h = seq(random_sign_text(rng, 2 * count))
+                lags = rng.sample(range(1, count), count // 3)
+                for bs in (block_decompose(h), BlockSequence(block_decompose(h).blocks)):
+                    self.assert_table_is_lag_masks(bs, lags)
+
+    def test_one_lag_fills_one_entry(self):
+        bs = blocks(COUNTEREXAMPLE_BLOCKS)
+        cancellation_residual(bs, 2)
+        assert [u for u, masks in enumerate(bs._lags) if masks is not None] == [2]
+
+    def test_eqn1_enumeration_leaves_every_table_unset(self):
+        # the enumeration and its predicate never read a lag, so the census
+        # path neither stores nor fills the slot
+        rows = list(enumerate_block_sequences(4, cancellation_holds))
+        assert len(rows) == 768
+        assert not any(hasattr(bs, "_lags") for bs in rows)
+        bs = block_decompose(seq("-+++"))
+        assert cancellation_holds(bs) and not hasattr(bs, "_lags")
 
 
 class TestSymmetricEven:

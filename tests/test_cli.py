@@ -379,6 +379,38 @@ class TestChase:
         assert code == 0
         assert doc["result"]["start"] == [0, 2]
 
+    @pytest.mark.parametrize("start", ["1 0,2", "0,2 2", "( 0 , 1 2 )", "(0 ,2) )"])
+    def test_start_with_whitespace_inside_a_number_exit_two(self, capsys, tmp_path, start):
+        # "1 0,2" read as (10,2) before whitespace was limited to the separators
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(COUNTEREXAMPLE_MATCHINGS)
+        code, out, err = run(
+            capsys, "chase", COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", start
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse start pair {start!r}; expected i,j\n"
+
+    @pytest.mark.parametrize("line", ["u=1 0: (0,2)~(2,4)", "u=2: (0,2)~(2,4 0)"])
+    def test_whitespace_inside_a_number_in_matching_file_exit_two(self, capsys, tmp_path, line):
+        # "u=1 0" read as lag 10 and exited 1 with "lag 10 is outside 1..5"
+        matchings = tmp_path / "m.txt"
+        matchings.write_text(line + "\n", encoding="utf-8")
+        for command in (["match"], ["chase", "--start", "0,2"]):
+            code, out, err = run(
+                capsys, command[0], COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings),
+                *command[1:],
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: {matchings}: line 1: cannot parse matching {line!r}\n"
+
+    def test_whitespace_around_separators_in_matching_file_accepted(self, capsys, tmp_path):
+        matchings = tmp_path / "m.txt"
+        matchings.write_text("u=2 : ( 0 , 2 ) ~ ( 2 , 4 )\n\t u = 4:(0 ,4)~ (4, 2) \n")
+        argv = (COUNTEREXAMPLE_BLOCKS, "--matchings", str(matchings), "--start", "0,2")
+        code, doc, _ = run_json(capsys, "chase", *argv)
+        assert code == 0
+        assert doc["result"]["matchings"] == COUNTEREXAMPLE_MATCHINGS.splitlines()
+
     def test_equal_start_indices_named(self, capsys, tmp_path):
         matchings = tmp_path / "m.txt"
         matchings.write_text(COUNTEREXAMPLE_MATCHINGS)

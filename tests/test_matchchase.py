@@ -449,6 +449,15 @@ class TestMatchingLines:
         book = parse_matching_lines(["  u = 2 :  ( 0 , 2 ) ~ ( 2 , 4 )  "])
         assert book.matching_at(2).pairs == ((pair(0, 2), pair(2, 4)),)
 
+    @pytest.mark.parametrize(
+        "line", ["u=1 0: (0,2)~(2,4)", "u=2: (0 1,2)~(2,4)", "u=2: (0,2)~(2,4 1)", "u 2: (0,2)~(2,4)"]
+    )
+    def test_whitespace_inside_a_number_rejected(self, line):
+        # whitespace parts the fields only next to a separator; elsewhere it
+        # would join two numbers into one
+        with pytest.raises(ValueError, match=r"^line 2: cannot parse matching "):
+            parse_matching_lines(["u=2: (0,2)~(2,4)", "\t" + line + " "])
+
     def test_blank_lines_skipped(self):
         book = parse_matching_lines(["", "u=2: (0,2)~(2,4)", "   "])
         assert len(book) == 1

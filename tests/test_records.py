@@ -14,12 +14,15 @@ from circhad import (
     ChaseTrace,
     IndexPair,
     LagMatching,
+    MatchingBook,
     PafSpectrum,
     SearchConfig,
     SearchReport,
     SymBlockMatrix,
     TwoBlock,
     ValidationReport,
+    chase,
+    counterexample,
 )
 
 P02, P24 = IndexPair(0, 2), IndexPair(2, 4)
@@ -197,3 +200,33 @@ def test_defaults():
     )
     # prunes are kept as a frozenset whatever iterable they come in
     assert SearchConfig(16, prunes=["row-sum"]) == SearchConfig(16, prunes=frozenset({"row-sum"}))
+
+
+def test_chase_records_equal_constructed_ones():
+    # chase sets the slots of its trace and steps without calling __init__;
+    # what it returns must not be told apart from what the constructors build
+    blocks, cycle_book, start = counterexample()
+    degenerate_book = MatchingBook([LagMatching.of(2, [(P02, IndexPair(4, 0))])])
+    outcomes = set()
+    for book in (cycle_book, degenerate_book, MatchingBook()):
+        trace = chase(blocks, book, start)
+        steps = tuple(ChaseStep(s.obligation, s.matched) for s in trace.steps)
+        twin = ChaseTrace(steps, trace.outcome, trace.repeat)
+        outcomes.add(trace.outcome)
+        assert type(trace) is ChaseTrace
+        assert trace == twin and twin == trace and hash(trace) == hash(twin)
+        assert repr(trace) == repr(twin)
+        assert trace != (steps, trace.outcome, trace.repeat)
+        for made, built in zip(trace.steps, steps):
+            assert type(made) is ChaseStep
+            assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+            with pytest.raises(AttributeError):
+                made.matched = None
+        for name in ChaseTrace.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(trace, name, None)
+            with pytest.raises(AttributeError):
+                delattr(trace, name)
+        assert trace == twin
+        assert pickle.loads(pickle.dumps(trace)) == twin
+    assert outcomes == set(ChaseOutcome)
