@@ -18,7 +18,11 @@ optional prunes cut branches:
   so setting a position and testing every lag for both signs are a few
   additions, a subtraction, an | and an & on nonnegative integers, not a
   loop over the L/2 lags.  The state is passed down the recursion; nothing
-  is undone on the way back.
+  is undone on the way back.  The walk has two halves.  Below position
+  L/2 no cut can fall, and a few method calls set each position.  At L/2
+  the first half is final, so the products that wrap round to it are
+  taken once for the whole subtree, and the inlined kernel of the back
+  half carries only the reversed prefix and the offset counters.
 
 The tables of both prunes are built once per search, before any shard is
 walked, and every shard reads them; they are freed with the search.  The
@@ -229,6 +233,16 @@ class _PackedLags:
     first half forward, h[j] in field j+1, for the products that wrap round.
     A whole row is read back from ``rev`` alone (see row_bits).
 
+    The two halves of a row differ.  Below L/2 no product wraps round
+    (``wrap[p]`` is 0), and every lag has settled(u, p) <= p < L/2
+    products, so no cut can fall there.  From L/2 on, ``spread[p]`` is 0:
+    ``fwd`` is final, and each position's wrap term (see wrap_term) is the
+    same for the whole subtree, so a walk takes them once at L/2.  A walk
+    may also carry the offset state m = neg + upper in place of neg: then
+    the cut test is (m | (ceil[p] + upper - m)) & guard, one addition
+    fewer, and the leaf test is m == balanced + upper.  Every field of
+    ceil[p] + upper, 2*upper + settled <= 2^W - 2, still lies in [0, 2^W).
+
     Once every position is set, all L products of each lag are settled, and
     paf(u) = 0 for every u = 1..L/2 (hence, by paf(u) = paf(L-u), for every
     nonzero lag) exactly when ``neg`` equals ``balanced``, L/2 in every field.
@@ -269,9 +283,15 @@ class _PackedLags:
         self.shift = tuple(W * (L - p - 1) for p in range(L))
         self.spread = tuple(1 << W * p if p < half else 0 for p in range(L))
 
+    def wrap_term(self, p: int, fwd: int) -> int:
+        """The part of position p's increment that counts the products
+        h[p]h[p+u-L] wrapping round to the first half, which ``fwd`` holds;
+        0 below L/2."""
+        return (fwd << self.shift[p]) & self.wrap[p]
+
     def settle(self, p: int, bit: int, rev: int, fwd: int, neg: int) -> tuple[int, int, int]:
         """(rev, fwd, neg) after setting position p to -1 (bit 1) or +1 (bit 0)."""
-        inc = (rev & self.back[p]) + ((fwd << self.shift[p]) & self.wrap[p])
+        inc = (rev & self.back[p]) + self.wrap_term(p, fwd)
         if bit:
             inc = self.both[p] - inc
         return (rev << self.width) | bit, fwd | self.spread[p] * bit, neg + inc
@@ -314,12 +334,14 @@ def _run_shard(
     deadline: float | None,
 ) -> _ShardResult:
     L = order
-    last = L - 1
+    half, last = L // 2, L - 1
     use_paf = PRUNE_PREFIX_PAF in prunes
-    W, guard, upper, balanced = lags.width, lags.guard, lags.upper, lags.balanced
-    # the six per-position tables, read as one tuple per position
-    tables = lags.back, lags.shift, lags.wrap, lags.ceil, lags.both, lags.spread
-    rows = tuple(zip(*tables))
+    W, guard, upper = lags.width, lags.guard, lags.upper
+    target = lags.balanced + upper
+    # the three per-position tables that the back half reads, as one tuple
+    # per position; ceil is offset like the state m (see _PackedLags)
+    rows = tuple(zip(lags.back, [c + upper for c in lags.ceil], lags.both))
+    terms: tuple[int, ...] = ()
     examined = rowsum_cuts = paf_cuts = 0
     hits: list[str] = []
     poll = _DEADLINE_POLL
@@ -331,45 +353,69 @@ def _run_shard(
         if is_circulant_hadamard(seq):
             hits.append(seq.text)
 
-    # _PackedLags.settle and .cut inlined: this is the hot loop.  A child
-    # at the last position is a leaf, counted and tested here without a
-    # call; leaves do not read the deadline.  The row itself is not carried:
-    # the rare leaf that reaches found reads it back from rev.
-    def dfs(p: int, rev: int, fwd: int, neg: int, minus: int) -> None:
+    def tick() -> None:
+        # one tree node: the deadline is read every _DEADLINE_POLL of them
+        nonlocal poll
+        poll -= 1
+        if not poll:
+            poll = _DEADLINE_POLL
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Stop
+
+    def front(p: int, rev: int, fwd: int, neg: int, minus: int) -> None:
+        # positions below L/2 take no cut test: no lag has more than L/2
+        # products settled there (see _PackedLags), and every '-' count
+        # still reaches a row-sum target.  At L/2 fwd is final, and the
+        # subtree's wrap terms are taken from it once
+        nonlocal terms
+        if p < half:
+            tick()
+            for bit in (0, 1):
+                front(p + 1, *lags.settle(p, bit, rev, fwd, neg), minus + bit)
+        else:
+            terms = tuple(lags.wrap_term(q, fwd) for q in range(L))
+            dfs(p, rev, neg + upper, minus)
+
+    # tick, _PackedLags.settle and .cut inlined, with the state m = neg +
+    # upper: this is the hot loop.  A child at the last position is a leaf,
+    # counted and tested here without a call; leaves do not read the
+    # deadline.  The row itself is not carried: the rare leaf that reaches
+    # found reads it back from rev.
+    def dfs(p: int, rev: int, m: int, minus: int) -> None:
         nonlocal examined, rowsum_cuts, paf_cuts, poll
         poll -= 1
         if not poll:
             poll = _DEADLINE_POLL
             if deadline is not None and time.monotonic() > deadline:
                 raise _Stop
-        back, shift, wrap, ceil, both, spread = rows[p]
-        inc = (rev & back) + ((fwd << shift) & wrap)
+        back, ceil, both = rows[p]
+        inc = (rev & back) + terms[p]
         rev <<= W
         # h[p] = +1: the settled products with h[p] are -1 where the other
         # factor is -1, which is what inc counts
-        n = neg + inc
+        n = m + inc
         if p >= ends[minus]:
             rowsum_cuts += 1
-        elif use_paf and ((n + upper) | (ceil - n)) & guard:
+        elif use_paf and (n | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, rev, fwd, n, minus)
+            dfs(p + 1, rev, n, minus)
         else:
             examined += 1
-            if n == balanced:
+            if n == target:
                 found(rev)
         # h[p] = -1: the complementary products are -1
-        n = neg + both - inc
+        n = m + both - inc
         minus += 1
         if p >= ends[minus]:
             rowsum_cuts += 1
-        elif use_paf and ((n + upper) | (ceil - n)) & guard:
+        elif use_paf and (n | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, rev | 1, fwd | spread, n, minus)
+            dfs(p + 1, rev | 1, n, minus)
         else:
             examined += 1
-            if n == balanced:
+            if n == target:
                 found(rev | 1)
 
     # the walk recurses once per position, so a large order needs more
@@ -394,11 +440,11 @@ def _run_shard(
                 break
         else:
             if len(prefix) < L:
-                dfs(len(prefix), rev, fwd, neg, minus)
+                front(len(prefix), rev, fwd, neg, minus)
             else:
                 # at order 4 the prefix is a whole row, a leaf
                 examined += 1
-                if neg == balanced:
+                if neg == lags.balanced:
                     found(rev)
         completed = True
     except _Stop:

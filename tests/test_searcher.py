@@ -391,6 +391,21 @@ class TestWhatIsCut:
         assert report.sequences_examined == examined
         assert report.prune_cuts == cuts
 
+    @pytest.mark.parametrize(
+        "selection, examined, cuts",
+        [
+            ("both", 0, {"prefix-paf": 31338, "row-sum": 5533}),
+            ("paf", 0, {"prefix-paf": 37314}),
+            ("rowsum", 63648, {"row-sum": 111774}),
+            ("none", 262144, {}),
+        ],
+    )
+    def test_golden_shard_counts(self, selection, examined, cuts):
+        # one order-24 shard walked directly; row-sum targets apply though
+        # 24 is not a square, so every selection walks it
+        result = TestAlternation.walk(24, "++-+--", PRUNE_SELECTIONS[selection])
+        assert result == _ShardResult("++-+--", True, examined, cuts, ())
+
 
 class TestAlternation:
     @staticmethod
@@ -483,13 +498,19 @@ class TestStop:
             (20, "++++++", frozenset(), 1, False, 4092, {}),
             (20, "++++++", frozenset(), 2, False, 8190, {}),
             (20, "+-++-+", ROWSUM, 1, False, 1507, {"row-sum": 2580}),
+            # at a node below L/2, where fwd is still set: position 19 of 40
+            # and position 13 of 28
+            (40, "+", ALL_PRUNES, 2, False, 0, {"prefix-paf": 6651, "row-sum": 1524}),
+            (28, "++++++", ALL_PRUNES, 28, False, 0, {"prefix-paf": 97841, "row-sum": 16841}),
+            # at position 28 of 40, in the back half
+            (40, "++++++", PAF, 1, False, 0, {"prefix-paf": 4079}),
             # out of time at its start: the shard never starts
             (16, "++++++", PAF, 0, False, 0, {"prefix-paf": 0}),
             # 1024 leaves, fewer than one poll's worth of nodes
             (16, "++++++", frozenset(), 1, True, 1024, {}),
         ],
-        ids=["o24-1", "o24-2", "o36-1", "o36-3", "o20-1", "o20-2", "o20-rowsum", "unstarted",
-             "finished"],
+        ids=["o24-1", "o24-2", "o36-1", "o36-3", "o20-1", "o20-2", "o20-rowsum", "o40-front",
+             "o28-front", "o40-back", "unstarted", "finished"],
     )
     def test_stop_falls_at_a_fixed_node(
         self, monkeypatch, order, prefix, prunes, reads, completed, examined, cuts
@@ -512,13 +533,31 @@ def sign_rows(draw):
 
 def _check_packed_lags(row) -> bool:
     """Settle the row one position at a time, checking every lag counter
-    and the cut verdict against a direct count; return the leaf verdict."""
+    and the cut verdict against a direct count; return the leaf verdict.
+    From L/2 on, also check the back half of the walk: fwd no longer
+    changes, the wrap terms taken once at L/2 give each increment, and the
+    cut test on the offset state neg + upper agrees with cut."""
     L = len(row)
     lags = _PackedLags(L)
     field = (1 << lags.width) - 1
     rev = fwd = neg = 0
     for p, s in enumerate(row):
-        rev, fwd, neg = lags.settle(p, int(s < 0), rev, fwd, neg)
+        bit = int(s < 0)
+        if p == L // 2:
+            terms = [lags.wrap_term(q, fwd) for q in range(L)]
+        if p < L // 2:
+            assert lags.wrap_term(p, fwd) == 0
+            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+            assert not lags.cut(p, neg)
+        else:
+            inc = (rev & lags.back[p]) + terms[p]
+            before, final = neg, fwd
+            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+            assert fwd == final
+            assert neg - before == (lags.both[p] - inc if bit else inc)
+            m = neg + lags.upper
+            offset_cut = (m | (lags.ceil[p] + lags.upper - m)) & lags.guard
+            assert bool(offset_cut) == lags.cut(p, neg)
         direct = False
         for u in range(1, L // 2 + 1):
             settled = [
@@ -537,6 +576,23 @@ def _check_packed_lags(row) -> bool:
 @given(sign_rows())
 def test_packed_lag_verdict_matches_direct_check(row):
     _check_packed_lags(row)
+
+
+def test_no_cut_falls_below_half_exhaustive():
+    # below L/2 every lag has at most L/2 - 1 products settled, so neither
+    # sign can outnumber L/2, and every '-' count still reaches a row-sum
+    # target: the walk sets these positions without a cut test
+    for L in range(4, 17, 4):
+        lags = _PackedLags(L)
+        for text in all_sign_texts(L // 2):
+            rev = fwd = neg = 0
+            for p, ch in enumerate(text):
+                rev, fwd, neg = lags.settle(p, int(ch == "-"), rev, fwd, neg)
+                assert not lags.cut(p, neg), (L, text, p)
+    for L in range(4, 101, 4):
+        ends = _minus_ok_ends(L, _minus_targets(L))
+        for p in range(L // 2):
+            assert all(p < ends[m] for m in range(p + 2)), (L, p)
 
 
 def test_packed_lag_tables_match_direct_definition():
