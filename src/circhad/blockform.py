@@ -20,13 +20,16 @@ h; BlockSequence._compression derives c from it as two masks.  A row
 keeps a lag table, filled one lag at a time on first use: the entry at
 lag u is seqcore._lag_masks of c, the masks (both, flips) from which the
 residual here and the matchings in matchchase are read, so each is built
-once per row however many of them a row is asked for.
+once however many of them a row is asked for.  Entry 0 is never a lag;
+it holds the eq. (1) verdict of cancellation_holds.  Everything in the
+table depends on c alone, so the table belongs to the compression: the
+rows of one enumeration that share a compression share one table, and a
+row built any other way gets its own.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Callable, Iterable, Iterator
 
 from . import _NAMES
@@ -119,9 +122,12 @@ class BlockSequence:
     """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n.
 
     Stored as its packed sign row of order 4n: bit d is block d's diagonal
-    and bit d + 2n its off-diagonal, set for -1.  The lag table _lags is
-    left unset until _lag first reads it, so rows that never ask for a lag
-    (the eq. (1) enumeration) pay nothing for it.
+    and bit d + 2n its off-diagonal, set for -1.  The lag table _lags
+    belongs to the compression and may be shared: the enumerations give
+    the rows of one compression one table, while any other row's table is
+    left unset until _lag or cancellation_holds first reads it.  Its entry
+    at a lag u holds the masks at u, and entry 0 the eq. (1) verdict, each
+    None until first asked for.
     """
 
     __slots__ = ("_count", "_bits", "_even", "_minus", "_lags")
@@ -274,8 +280,16 @@ def cancellation_residual(bs: BlockSequence, u: int) -> SymBlockMatrix:
 
 def cancellation_holds(bs: BlockSequence) -> bool:
     """True when the even-pair product sum vanishes at every nonzero lag,
-    i.e. when the compression has zero periodic autocorrelation."""
-    return _paf_vanishes(bs._even, bs._minus, bs._count)
+    i.e. when the compression has zero periodic autocorrelation.  The
+    verdict depends on the compression alone; it is decided once per lag
+    table and kept in the table's entry 0, which is never a lag."""
+    try:
+        lags = bs._lags
+    except AttributeError:
+        lags = bs._lags = [None] * bs._count
+    if lags[0] is None:
+        lags[0] = _paf_vanishes(bs._even, bs._minus, bs._count)
+    return lags[0]
 
 
 def is_symmetric_even(bs: BlockSequence, i: int) -> bool:
@@ -294,39 +308,52 @@ def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
     """Rows of 2k blocks in lexicographic order; with ``evens`` set, only
     the rows with that many even blocks.
 
-    The 4^k runs of k blocks are packed once, in lexicographic order, as
-    rows of their own with their compression masks, which give their even
-    counts.  As a left half a run's off-diagonal bits move up by k; as a
-    right half all its bits and both its masks move up by k more, once per
-    run, and the right halves are grouped by even count.  A row then joins
+    The 4^k runs of k blocks are built once, in lexicographic order, as
+    packed rows of their own: block j is the base-4 digit j from the top,
+    its high bit the diagonal at bit j and its low bit the off-diagonal at
+    bit j + k.  Their compression masks give their even counts.  As a left
+    half a run's off-diagonal bits move up by k; as a right half all its
+    bits and both its masks move up by k more, once per run, and the right
+    halves are grouped by even count.  A row then joins
     a left half with every right half whose count makes ``evens`` by three
-    ``|`` and fills the four slots of a BlockSequence itself, with no call
-    per row.  A row compares first on its left half, then on its right
-    half, so walking the left halves in order, each with its right halves
-    in order, keeps lexicographic order.
+    ``|`` and fills the five slots of a BlockSequence itself, with no call
+    per row.  Rows with equal compressions get one lag table, found by the
+    compression packed as one key, so a table and its eq. (1) verdict are
+    built once per compression met.  A row compares first on its left half,
+    then on its right half, so walking the left halves in order, each with
+    its right halves in order, keeps lexicographic order.
     """
     mask = (1 << k) - 1
     count = 2 * k
+    runs = [0]
+    for j in range(k):
+        diag, off = 1 << j, 1 << j + k
+        runs = [run | bit for run in runs for bit in (0, off, diag, diag | off)]
     lefts, rights = [], []
-    by_count: dict[int, list[tuple[int, int, int]]] = {}
-    for blocks in itertools.product(_BLOCK_ALPHABET, repeat=k):
-        half = _packed(blocks)
+    by_count: dict[int, list[tuple[int, int, int, int]]] = {}
+    for half in runs:
         even, minus = BlockSequence._compression(k, half)
-        left = half & mask | (half >> k) << 2 * k
-        right = (left << k, even << k, minus << k)
+        left = half & mask | (half >> k) << count
+        key = even | minus << count
+        right = (left << k, even << k, minus << k, key << k)
         evens_half = even.bit_count()
-        lefts.append((evens_half, left, even, minus))
+        lefts.append((evens_half, left, even, minus, key))
         rights.append(right)
         by_count.setdefault(evens_half, []).append(right)
     new = BlockSequence.__new__
-    for evens_half, left, left_even, left_minus in lefts:
+    tables: dict[int, list] = {}
+    for evens_half, left, left_even, left_minus, left_key in lefts:
         joined = rights if evens is None else by_count.get(evens - evens_half, ())
-        for right, right_even, right_minus in joined:
+        for right, right_even, right_minus, right_key in joined:
+            lags = tables.get(left_key | right_key)
+            if lags is None:
+                lags = tables[left_key | right_key] = [None] * count
             bs = new(BlockSequence)
             bs._count = count
             bs._bits = left | right
             bs._even = left_even | right_even
             bs._minus = left_minus | right_minus
+            bs._lags = lags
             yield bs
 
 

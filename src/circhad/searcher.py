@@ -40,7 +40,8 @@ ledger records are keyed by shard prefix, and a cut made while settling a
 prefix is counted once per shard, so a different depth would change both
 the ledger and the cut counts.  An optional append-only ledger file records
 finished shards (and any sequences they found), in prefix order for any
-worker count, so an interrupted search can be resumed.
+worker count, so an interrupted search can be resumed.  The ledger is
+opened and checked even where row-sum settles the order without a walk.
 
 A budget stops a shard in one place.  The deadline is read when the shard
 starts and then every _DEADLINE_POLL tree nodes; a read past it raises
@@ -761,18 +762,21 @@ def search(cfg: SearchConfig) -> SearchReport:
     """
     started = time.perf_counter()
     cuts_total = {name: 0 for name in sorted(cfg.prunes)}
-    if PRUNE_ROW_SUM in cfg.prunes and rowsum_prune_applicable(cfg.order):
-        cuts_total[PRUNE_ROW_SUM] = 1
-        elapsed = time.perf_counter() - started
-        return _build_report(cfg, 0, [], cuts_total, False, elapsed)
-    if cfg.order > _MAX_ORDER:
+    settled = PRUNE_ROW_SUM in cfg.prunes and rowsum_prune_applicable(cfg.order)
+    if not settled and cfg.order > _MAX_ORDER:
         raise ValueError(f"order {cfg.order} is too large to search; the largest is {_MAX_ORDER}")
-
-    prefixes = _shard_prefixes(cfg.order)
-    mirror = PRUNE_ROW_SUM not in cfg.prunes
+    # opened before the row-sum answer too, so a ledger of another search is
+    # refused whichever way the search ends, and a fresh one gets its header
     ledger = None
     if cfg.ledger_path is not None:
         ledger = _ShardLedger(Path(cfg.ledger_path), cfg)
+    if settled:
+        cuts_total[PRUNE_ROW_SUM] = 1
+        elapsed = time.perf_counter() - started
+        return _build_report(cfg, 0, [], cuts_total, False, elapsed)
+
+    prefixes = _shard_prefixes(cfg.order)
+    mirror = PRUNE_ROW_SUM not in cfg.prunes
     results: dict[str, _ShardResult] = dict(ledger.recorded) if ledger else {}
     # records are written in prefix order: a result waits here until every
     # earlier prefix has one

@@ -20,7 +20,8 @@ from circhad.blockform import (
     is_symmetric_even,
     recompose,
 )
-from circhad.seqcore import SignSequence, _lag_masks, paf
+from circhad import blockform
+from circhad.seqcore import SignSequence, _lag_masks, _paf_vanishes, paf
 
 from helpers import (
     all_sign_texts,
@@ -306,6 +307,12 @@ def test_residual_is_twice_the_compression_paf(h):
         assert _residual(bs, u) == 2 * reference_ternary_paf(c, u)
 
 
+# every row of 2 to 8 blocks, and every row of 2n blocks with n even blocks
+ENUMERATIONS = [(all_block_sequences, length) for length in (2, 4, 6, 8)] + [
+    (enumerate_block_sequences, n) for n in (1, 2, 3, 4)
+]
+
+
 class TestLagTable:
     @staticmethod
     def assert_table_is_lag_masks(bs, lags):
@@ -336,14 +343,71 @@ class TestLagTable:
         cancellation_residual(bs, 2)
         assert [u for u, masks in enumerate(bs._lags) if masks is not None] == [2]
 
-    def test_eqn1_enumeration_leaves_every_table_unset(self):
-        # the enumeration and its predicate never read a lag, so the census
-        # path neither stores nor fills the slot
-        rows = list(enumerate_block_sequences(4, cancellation_holds))
-        assert len(rows) == 768
-        assert not any(hasattr(bs, "_lags") for bs in rows)
+    def test_eqn1_enumeration_fills_only_verdicts(self):
+        # the census path decides eq. (1) once per compression and reads no
+        # lag: its 17920 rows hold one table per compression, 1120 in all,
+        # each with its verdict in entry 0 and every lag entry unset
+        seen = []
+
+        def census(bs):
+            seen.append(bs)
+            return cancellation_holds(bs)
+
+        rows = list(enumerate_block_sequences(4, census))
+        assert (len(rows), len(seen)) == (768, 17920)
+        tables = {id(bs._lags): bs._lags for bs in seen}
+        assert len(tables) == 1120
+        for lags in tables.values():
+            assert type(lags[0]) is bool and lags[1:] == [None] * 7
+        assert all(bs._lags[0] for bs in rows)
+        # a row built outside an enumeration gets its own table on first use
         bs = block_decompose(seq("-+++"))
-        assert cancellation_holds(bs) and not hasattr(bs, "_lags")
+        assert not hasattr(bs, "_lags")
+        assert cancellation_holds(bs) and bs._lags == [True, None]
+
+    @pytest.mark.parametrize("make, size", ENUMERATIONS, ids=lambda v: getattr(v, "__name__", v))
+    def test_rows_share_a_table_exactly_when_compressions_are_equal(self, make, size):
+        rows = list(make(size))
+        tables = {}
+        for bs in rows:
+            assert tables.setdefault((bs._even, bs._minus), bs._lags) is bs._lags
+        assert len({id(lags) for lags in tables.values()}) == len(tables)
+        assert all(lags == [None] * len(rows[0]) for lags in tables.values())
+
+    @pytest.mark.parametrize("make, size", ENUMERATIONS, ids=lambda v: getattr(v, "__name__", v))
+    def test_shared_verdict_is_each_rows_own(self, make, size):
+        # whichever row of a compression decides it first, every row reads
+        # the verdict of its own compression, first and on a later read
+        def fresh(bs):
+            return _paf_vanishes(bs._even, bs._minus, len(bs))
+
+        backward = list(make(size))[::-1]
+        shuffled = list(make(size))
+        random.Random(size).shuffle(shuffled)
+        for rows in (backward, shuffled):
+            assert [cancellation_holds(bs) for bs in rows] == [fresh(bs) for bs in rows]
+            assert [cancellation_holds(bs) for bs in rows] == [fresh(bs) for bs in rows]
+
+    def test_two_enumerations_share_no_table(self):
+        first = list(enumerate_block_sequences(3))
+        second = list(enumerate_block_sequences(3))
+        assert not {id(bs._lags) for bs in first} & {id(bs._lags) for bs in second}
+        for bs in first:
+            cancellation_residual(bs, 1)
+            cancellation_holds(bs)
+        assert all(bs._lags == [None] * 6 for bs in second)
+
+    def test_eqn1_decided_once_per_compression(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _paf_vanishes(*args)
+
+        monkeypatch.setattr(blockform, "_paf_vanishes", counted)
+        assert sum(1 for _ in enumerate_block_sequences(4, cancellation_holds)) == 768
+        assert len(calls) == 1120
+        assert len(set(calls)) == 1120
 
 
 class TestSymmetricEven:

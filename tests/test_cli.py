@@ -501,6 +501,29 @@ class TestSearchCommand:
         assert out == ""
         assert f"ledger {ledger} line {at + 1}: " in err
 
+    @pytest.mark.parametrize("prune", [[], ["--prune", "prefix-paf"]], ids=["row-sum", "prefix-paf"])
+    def test_foreign_ledger_exit_two_at_a_nonsquare_order(self, capsys, tmp_path, prune):
+        # with row-sum on, order 8 is settled without a walk; its ledger is
+        # still read, so an order-16 ledger or garbage is refused either way
+        ledger = tmp_path / "shards.ledger"
+        assert run(capsys, "search", "--order", "16", "--ledger", str(ledger))[0] == 0
+        for text in (ledger.read_text(), "garbage\n"):
+            ledger.write_text(text)
+            code, out, err = run(capsys, "search", "--order", "8", *prune, "--ledger", str(ledger))
+            assert (code, out) == (2, "")
+            assert err == f"error: ledger {ledger} does not match this search configuration\n"
+            assert ledger.read_text() == text
+
+    def test_fresh_ledger_gets_its_header_at_a_nonsquare_order(self, capsys, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        argv = ("search", "--format", "json", "--order", "8", "--ledger", str(ledger))
+        code, doc, _ = run_json(capsys, *argv)
+        assert (code, doc["result"]["prune_cuts"]) == (0, {"prefix-paf": 0, "row-sum": 1})
+        header = "# circhad shard ledger order=8 prunes=prefix-paf,row-sum\n"
+        assert ledger.read_text() == header
+        assert run_json(capsys, *argv)[0] == 0
+        assert ledger.read_text() == header
+
     def test_prune_none(self, capsys):
         code, doc, _ = run_json(capsys, "search", "--order", "8", "--prune", "none")
         assert code == 0

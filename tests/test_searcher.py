@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import re
 import sys
@@ -318,6 +319,51 @@ class TestSearchResults:
         theirs = [cpu for pid, cpu in settled if pid != parent]
         assert (mine[0], theirs[0]) == (cpus[0], cpus[1])
         assert os.sched_getaffinity(0) == set(cpus)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("workers", [2, 3])
+    @time_limit(SEARCH_SECONDS)
+    def test_walk_asks_for_each_placement_in_order(self, monkeypatch, tmp_path, workers):
+        # the sampled test above needs a second free CPU; this one fixes the
+        # CPU set and records the moves the calling process asks for, so it
+        # reads the placement itself, whatever the host and its load
+        cpus = [3, 5]
+        parent = os.getpid()
+        claimed = tmp_path / "claimed"
+        moves, forked, before_claim = [], [], []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def walk(key):
+            if os.getpid() == parent:
+                if not before_claim:
+                    before_claim.append(list(moves))
+                claimed.touch()
+            # a child holds its first key until the calling process has one
+            while not claimed.exists():
+                time.sleep(0.001)
+            return key
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, mask: moves.append((pid, set(mask))), raising=False
+        )
+        settled = []
+        searcher._walk(walk, list(range(4)), workers, settled.append)
+        assert sorted(settled) == [0, 1, 2, 3]
+        assert len(forked) == workers - 1
+        wanted = []
+        for k, pid in enumerate(forked, start=1):
+            wanted += [(pid, {cpus[k % len(cpus)]}), (pid, set(cpus))]
+        wanted += [(0, {cpus[0]}), (0, set(cpus))]
+        assert moves == wanted
+        assert before_claim == [wanted]
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -692,6 +738,32 @@ class TestBudgetAndLedger:
         with pytest.raises(ValueError, match="order 20 is too large"):
             search(SearchConfig(order=20, prunes=PAF))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["garbage\n", "# circhad shard ledger order=16 prunes=prefix-paf,row-sum\n"],
+        ids=["garbage", "order-16"],
+    )
+    def test_row_sum_answer_refuses_a_foreign_ledger(self, tmp_path, text):
+        # the ledger is read before row-sum settles the order, so a file that
+        # is not this search's ledger is refused as it is where shards run
+        ledger = tmp_path / "shards.ledger"
+        ledger.write_text(text)
+        for prunes in (ALL_PRUNES, PAF):
+            with pytest.raises(ValueError, match="does not match this search configuration"):
+                search(SearchConfig(order=8, prunes=prunes, ledger_path=ledger))
+        assert ledger.read_text() == text
+
+    def test_row_sum_answer_writes_a_fresh_ledger_header(self, tmp_path):
+        ledger = tmp_path / "shards.ledger"
+        cfg = SearchConfig(order=8, ledger_path=ledger)
+        first = search(cfg)
+        header = "# circhad shard ledger order=8 prunes=prefix-paf,row-sum\n"
+        assert ledger.read_text() == header
+        again = search(cfg)
+        assert again.canonical_json() == first.canonical_json()
+        assert again.prune_cuts == {"prefix-paf": 0, "row-sum": 1}
+        assert ledger.read_text() == header
+
     def test_row_sum_still_settles_a_large_nonsquare_order(self):
         # 16388 = 4 * 4097 is not a square, so row-sum answers before the refusal
         report = search(SearchConfig(order=16388, budget_seconds=0.1))
@@ -930,6 +1002,33 @@ class TestBlockEnumeration:
     @pytest.mark.parametrize("length", [2, 4, 6, 8])
     def test_all_block_sequences_match_reference_walk(self, length):
         self.assert_same_rows(all_block_sequences(length), reference_block_sequences(length))
+
+    @staticmethod
+    def texts_digest(runs):
+        digest = hashlib.sha256()
+        for rows in runs:
+            for bs in rows:
+                digest.update(bs.text.encode() + b"\n")
+            digest.update(b"end\n")
+        return digest.hexdigest()
+
+    def test_enumeration_texts_unchanged(self):
+        # rows, then the eq. (1) rows, for n = 1..5; the digest was taken
+        # before the rows of one compression shared a lag table
+        runs = []
+        for n in range(1, 6):
+            runs += [enumerate_block_sequences(n), enumerate_block_sequences(n, cancellation_holds)]
+        assert self.texts_digest(runs) == (
+            "d1337e832911baa747a1708485bea84cd8677d08f0b2710f22e85ca9710efd64"
+        )
+
+    def test_all_block_sequences_texts_unchanged(self):
+        # every row of 2 to 10 blocks; the digest was taken before the rows
+        # of one compression shared a lag table
+        runs = [all_block_sequences(length) for length in range(2, 11, 2)]
+        assert self.texts_digest(runs) == (
+            "2211660ebdcad5d2f130390613f1a7af286c8d5e9c5c6c4b1f8ac14afb498756"
+        )
 
     def test_all_block_sequences(self):
         out = list(all_block_sequences(2))
