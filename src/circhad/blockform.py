@@ -17,19 +17,20 @@ where M_i and M_{i+u} are both even.  That is 2 * paf(c, u) * J for the
 compression c_d = (h[d] + h[d+2n]) / 2, the diagonal sign of an even M_d
 and 0 for an odd one.  A block sequence is stored as its packed sign row
 h; BlockSequence._compression derives c from it as two masks.  A row
-keeps a lag table, filled one lag at a time on first use: the entry at
-lag u is seqcore._lag_masks of c, the masks (both, flips) from which the
-residual here and the matchings in matchchase are read, so each is built
-once however many of them a row is asked for.  Entry 0 is never a lag;
-it holds the eq. (1) verdict of cancellation_holds.  Everything in the
-table depends on c alone, so the table belongs to the compression: the
-rows of one enumeration that share a compression share one table, and a
-row built any other way gets its own.
+is born with a lag table, filled one lag at a time on first use: the
+entry at lag u is seqcore._lag_masks of c, the masks (both, flips) from
+which the residual here and the matchings in matchchase are read, so
+each is built once however many of them a row is asked for.  Entry 0 is
+never a lag; it holds the eq. (1) verdict of cancellation_holds.
+Everything in the table depends on c alone, so the table belongs to the
+compression: a row gets a table of its own, and only an enumeration
+gives the rows that share a compression one table.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 from . import _NAMES
@@ -113,21 +114,15 @@ class SymBlockMatrix(_Record):
         return f"[[{self.diag}, {self.offdiag}], [{self.offdiag}, {self.diag}]]"
 
 
-def _packed(blocks: tuple[TwoBlock, ...]) -> int:
-    """The packed sign row of blocks: the diagonals, then the off-diagonals."""
-    return SignSequence([b.diag for b in blocks] + [b.offdiag for b in blocks]).bits
-
-
 class BlockSequence:
     """Ordered sequence of 2n 2-blocks, indices reduced modulo 2n.
 
     Stored as its packed sign row of order 4n: bit d is block d's diagonal
     and bit d + 2n its off-diagonal, set for -1.  The lag table _lags
-    belongs to the compression and may be shared: the enumerations give
-    the rows of one compression one table, while any other row's table is
-    left unset until _lag or cancellation_holds first reads it.  Its entry
-    at a lag u holds the masks at u, and entry 0 the eq. (1) verdict, each
-    None until first asked for.
+    belongs to the compression: a row is born with a table of its own,
+    and only the enumerations give the rows of one compression one table.
+    Its entry at a lag u holds the masks at u, and entry 0 the eq. (1)
+    verdict, each None until first asked for.
     """
 
     __slots__ = ("_count", "_bits", "_even", "_minus", "_lags")
@@ -138,21 +133,17 @@ class BlockSequence:
             raise ValueError("a block sequence needs an even number of blocks, at least 2")
         if not all(isinstance(b, TwoBlock) for b in items):
             raise ValueError("block sequence entries must be TwoBlock values")
-        self._count = len(items)
-        self._bits = _packed(items)
-        self._even, self._minus = self._compression(self._count, self._bits)
+        packed = SignSequence([b.diag for b in items] + [b.offdiag for b in items])
+        self._init(len(items), packed.bits)
 
-    @classmethod
-    def _with_masks(cls, count: int, bits: int, even: int, minus: int) -> "BlockSequence":
-        """Trusted constructor: the caller guarantees an even count of at
-        least 2, a packed row of 2 * count bits and its compression,
-        (even, minus) as _compression gives it."""
-        bs = cls.__new__(cls)
-        bs._count = count
-        bs._bits = bits
-        bs._even = even
-        bs._minus = minus
-        return bs
+    def _init(self, count: int, bits: int) -> None:
+        """Set every slot from an even count of at least 2 and a packed row
+        of 2 * count bits, the diagonals then the off-diagonals; the row
+        gets a lag table of its own."""
+        self._count = count
+        self._bits = bits
+        self._even, self._minus = self._compression(count, bits)
+        self._lags = [None] * count
 
     @staticmethod
     def _compression(count: int, bits: int) -> tuple[int, int]:
@@ -169,13 +160,9 @@ class BlockSequence:
     def _lag(self, u: int) -> tuple[int, int]:
         """(both, flips) of the compression at a lag 1 <= u < 2n, as
         seqcore._lag_masks gives them; built the first time it is asked."""
-        try:
-            lags = self._lags
-        except AttributeError:
-            lags = self._lags = [None] * self._count
-        masks = lags[u]
+        masks = self._lags[u]
         if masks is None:
-            masks = lags[u] = _lag_masks(self._even, self._minus, u, self._count)
+            masks = self._lags[u] = _lag_masks(self._even, self._minus, u, self._count)
         return masks
 
     @classmethod
@@ -194,7 +181,10 @@ class BlockSequence:
 
     @property
     def text(self) -> str:
-        return ",".join(b.text for b in self)
+        """The blocks as sign pairs, e.g. '++,+-': block d pairs entry d of
+        the packed row's sign text with entry d + 2n."""
+        signs = recompose(self).text
+        return ",".join(map(add, signs[: self._count], signs[self._count :]))
 
     def __len__(self) -> int:
         return self._count
@@ -231,8 +221,9 @@ def block_decompose(h: SignSequence) -> BlockSequence:
     L = len(h)
     if L % 4 != 0:
         raise ValueError(f"length {L} is not divisible by 4")
-    count, bits = L // 2, h.bits
-    return BlockSequence._with_masks(count, bits, *BlockSequence._compression(count, bits))
+    bs = BlockSequence.__new__(BlockSequence)
+    bs._init(L // 2, h.bits)
+    return bs
 
 
 def recompose(bs: BlockSequence) -> SignSequence:
@@ -283,13 +274,9 @@ def cancellation_holds(bs: BlockSequence) -> bool:
     i.e. when the compression has zero periodic autocorrelation.  The
     verdict depends on the compression alone; it is decided once per lag
     table and kept in the table's entry 0, which is never a lag."""
-    try:
-        lags = bs._lags
-    except AttributeError:
-        lags = bs._lags = [None] * bs._count
-    if lags[0] is None:
-        lags[0] = _paf_vanishes(bs._even, bs._minus, bs._count)
-    return lags[0]
+    if bs._lags[0] is None:
+        bs._lags[0] = _paf_vanishes(bs._even, bs._minus, bs._count)
+    return bs._lags[0]
 
 
 def is_symmetric_even(bs: BlockSequence, i: int) -> bool:

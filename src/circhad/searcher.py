@@ -67,14 +67,17 @@ With more than one worker, the calling process forks workers - 1 children
 claims its next shard by reading the shard's index from one pipe.  Each
 child sends its results back over its own pipe, only the calling process
 writes the ledger, and a child that dies makes the search raise
-RuntimeError rather than report its shard.  The calling process moves
-each process of the walk to its own allowed CPU (each child straight after
-its fork, child 1 to the second CPU and so on, in turn, and itself to the
-first) and then restores that process's affinity mask: where the kernel
-does not balance load between CPUs (cpuset sched_load_balance = 0), a
-forked child otherwise stays on its parent's CPU and the two share it.  A
-child that moved itself would first wait there behind its busy parent.
-Where the kernel does balance load it remains free to move them.
+RuntimeError rather than report its shard.  Each process of the walk
+starts on its own allowed CPU: the calling process moves itself to child
+k's CPU (the second for child 1 and so on, in turn) just before forking
+it, so the child is born there and first gives itself the whole affinity
+mask back, and after the last fork the calling process moves itself to
+the first CPU and takes its own mask back, all before anyone claims a
+shard.  Where the kernel does not balance load between CPUs (cpuset
+sched_load_balance = 0), a forked child otherwise stays on its parent's
+CPU and the two share it, and a child moved only after its fork could
+claim a shard and walk it there first.  Where the kernel does balance
+load it remains free to move them.
 """
 
 from __future__ import annotations
@@ -489,9 +492,9 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
     a pipe filled before any fork.  A child sends each result back over its
     own pipe as one line, a pickle in hex, so a line torn by its death is
     never settled; a nonzero exit of a child raises RuntimeError here.
-    This process moves child k to cpus[k % len(cpus)] of the sorted allowed
-    CPUs straight after forking it, and itself to cpus[0] before its first
-    claim, and gives each its mask back."""
+    Child k is born on cpus[k % len(cpus)] of the sorted allowed CPUs, as
+    this process moves there to fork it; each process takes its mask back,
+    this one after moving to cpus[0] and before its first claim."""
     tasks, feed = os.pipe()
     # _WIDTH bytes a key: the pipe holds them all before anyone reads
     os.write(feed, b"".join(i.to_bytes(_WIDTH, "little") for i in range(len(keys))))
@@ -509,19 +512,16 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
         import signal
 
         poller = select.poll()
-    cpus = []
-    if forks > 0 and hasattr(os, "sched_setaffinity"):
-        cpus = sorted(os.sched_getaffinity(0))
+    cpus = sorted(os.sched_getaffinity(0)) if forks > 0 and hasattr(os, "sched_setaffinity") else []
     children: dict[int, tuple[int, bytes]] = {}  # result pipe: pid, unread bytes
 
-    def place(pid: int, i: int) -> None:
-        # process i of the walk (0 is this one, pid 0) moves to its own CPU
-        # at once, then gets its mask back (see the module docstring); a
-        # refused move, or one after the child has exited, leaves it be
+    def place(*to: int | None) -> None:
+        # this process moves to cpus[i] for each i in turn, or takes its whole
+        # mask back for None (see the module docstring); a refusal skips the rest
         if len(cpus) > 1:
             try:
-                os.sched_setaffinity(pid, (cpus[i % len(cpus)],))
-                os.sched_setaffinity(pid, cpus)
+                for i in to:
+                    os.sched_setaffinity(0, cpus if i is None else (cpus[i % len(cpus)],))
             except OSError:
                 pass
 
@@ -546,14 +546,17 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
     try:
         for k in range(1, forks + 1):
             reader, writer = os.pipe()
+            place(k)  # so child k is born on its CPU
             try:
                 pid = os.fork()
             except OSError:
+                place(None)
                 os.close(reader)
                 os.close(writer)
                 raise
             if pid == 0:
                 try:
+                    place(None)
                     for key in claims():
                         line = pickle.dumps(walk(key)).hex().encode() + b"\n"
                         while line:
@@ -566,12 +569,11 @@ def _walk(walk, keys: list, workers: int, settle) -> None:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
-            place(pid, k)
             # the child holds the only write end, so its exit ends the pipe
             os.close(writer)
             children[reader] = (pid, b"")
             poller.register(reader, select.POLLIN)
-        place(0, 0)
+        place(0, None)
         for key in claims():
             settle(walk(key))
             if children:

@@ -28,6 +28,10 @@ from . import _NAMES
 __all__ = [*_NAMES["seqcore"]]
 
 
+# the sign text of a packed bit: 0 is +1, 1 is -1
+_SIGN_TEXT = str.maketrans("01", "+-")
+
+
 class SignSequence:
     """Immutable sequence of +1/-1 entries; the first row of a circulant."""
 
@@ -86,7 +90,9 @@ class SignSequence:
 
     @property
     def text(self) -> str:
-        return "".join("-" if self._bits >> k & 1 else "+" for k in range(self._length))
+        # a leading 1 above the top entry keeps its zeros: bin gives '0b1'
+        # and then the entries from the top, so read back to index 3
+        return bin(self._bits | 1 << self._length)[:2:-1].translate(_SIGN_TEXT)
 
     @property
     def entries(self) -> tuple[int, ...]:

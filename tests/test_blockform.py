@@ -102,6 +102,9 @@ class TestBlockSequence:
         for _ in range(200):
             length = 2 * rng.randrange(1, 26)
             oracles.append(tuple(rng.choice(ALL_BLOCKS) for _ in range(length)))
+        # long rows too, of L / 2 blocks at order L
+        for L in (16, 36, 64, 100, 400):
+            oracles.append(tuple(rng.choice(ALL_BLOCKS) for _ in range(L // 2)))
         for oracle in oracles:
             count = len(oracle)
             checked = BlockSequence(oracle)
@@ -360,10 +363,14 @@ class TestLagTable:
         for lags in tables.values():
             assert type(lags[0]) is bool and lags[1:] == [None] * 7
         assert all(bs._lags[0] for bs in rows)
-        # a row built outside an enumeration gets its own table on first use
-        bs = block_decompose(seq("-+++"))
-        assert not hasattr(bs, "_lags")
-        assert cancellation_holds(bs) and bs._lags == [True, None]
+        # a row built outside an enumeration is born with an unset table
+        # that no other row shares, and the verdict fills entry 0 only
+        decomposed = block_decompose(seq("-+++"))
+        built = BlockSequence(decomposed.blocks)
+        assert decomposed._lags is not built._lags
+        for bs in (decomposed, built):
+            assert bs._lags == [None, None] and id(bs._lags) not in tables
+            assert cancellation_holds(bs) and bs._lags == [True, None]
 
     @pytest.mark.parametrize("make, size", ENUMERATIONS, ids=lambda v: getattr(v, "__name__", v))
     def test_rows_share_a_table_exactly_when_compressions_are_equal(self, make, size):

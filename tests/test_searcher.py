@@ -302,14 +302,13 @@ class TestSearchResults:
     def test_each_process_of_the_walk_starts_on_its_own_cpu(self, tmp_path):
         cpus = sorted(os.sched_getaffinity(0))
         parent = os.getpid()
-        claimed = tmp_path / "claimed"
 
         def walk(key):
             cpu = current_cpu()
-            if os.getpid() != parent:
-                claimed.touch()
-            # the calling process holds its first key until the child has one
-            while not claimed.exists():
+            # each process holds its first key until the other has one, so
+            # both walk one however the two are scheduled
+            (tmp_path / str(os.getpid())).touch()
+            while len(list(tmp_path.iterdir())) < 2:
                 time.sleep(0.001)
             return os.getpid(), cpu
 
@@ -325,12 +324,11 @@ class TestSearchResults:
     @time_limit(SEARCH_SECONDS)
     def test_walk_asks_for_each_placement_in_order(self, monkeypatch, tmp_path, workers):
         # the sampled test above needs a second free CPU; this one fixes the
-        # CPU set and records the moves the calling process asks for, so it
-        # reads the placement itself, whatever the host and its load
+        # CPU set and records the moves each process asks for, so it reads
+        # the placement itself, whatever the host and its load
         cpus = [3, 5]
         parent = os.getpid()
-        claimed = tmp_path / "claimed"
-        moves, forked, before_claim = [], [], []
+        moves, forked = [], []
         real_fork = os.fork
 
         def fork():
@@ -340,14 +338,13 @@ class TestSearchResults:
             return pid
 
         def walk(key):
-            if os.getpid() == parent:
-                if not before_claim:
-                    before_claim.append(list(moves))
-                claimed.touch()
-            # a child holds its first key until the calling process has one
-            while not claimed.exists():
+            # each process holds its first key until every process has one,
+            # and hands back the moves it has asked for: a child's copy of
+            # the list starts with those of the calling process before its fork
+            (tmp_path / str(os.getpid())).touch()
+            while len(list(tmp_path.iterdir())) < workers:
                 time.sleep(0.001)
-            return key
+            return os.getpid(), key, list(moves)
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
@@ -356,14 +353,33 @@ class TestSearchResults:
         )
         settled = []
         searcher._walk(walk, list(range(4)), workers, settled.append)
-        assert sorted(settled) == [0, 1, 2, 3]
+        assert sorted(key for _, key, _ in settled) == [0, 1, 2, 3]
         assert len(forked) == workers - 1
-        wanted = []
-        for k, pid in enumerate(forked, start=1):
-            wanted += [(pid, {cpus[k % len(cpus)]}), (pid, set(cpus))]
-        wanted += [(0, {cpus[0]}), (0, set(cpus))]
-        assert moves == wanted
-        assert before_claim == [wanted]
+        assert {pid for pid, _, _ in settled} == {parent, *forked}
+        # before fork k the calling process moves to child k's CPU, so the
+        # child is born there; the child takes its whole mask back before
+        # its first claim, and the calling process moves to the first CPU
+        # and takes its mask back after the last fork, before its first claim
+        whole = (0, set(cpus))
+        born = [(0, {cpus[k % len(cpus)]}) for k in range(1, workers)]
+        assert moves == born + [(0, {cpus[0]}), whole]
+        for pid, _, asked in settled:
+            if pid == parent:
+                assert asked == moves
+            else:
+                assert asked == born[: forked.index(pid) + 1] + [whole]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    @time_limit(SEARCH_SECONDS)
+    def test_failed_fork_leaves_the_affinity_mask_as_found(self, monkeypatch):
+        # the calling process narrows its mask to fork a child, and a refused
+        # fork gives the mask back
+        before = os.sched_getaffinity(0)
+        forked = count_forks(monkeypatch, limit=1)
+        with pytest.raises(BlockingIOError):
+            search(SearchConfig(order=16, prunes=PAF, workers=3))
+        assert_reaped(forked)
+        assert os.sched_getaffinity(0) == before
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(

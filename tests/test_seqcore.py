@@ -37,6 +37,16 @@ class TestParsing:
         for text in ("+", "-", "-+++", "+--+-+++"):
             assert seq(text).text == text
 
+    def test_text_matches_each_entry_up_to_4096(self):
+        # the text is read from the packed bits in one go; each character
+        # must still be the sign of its own entry, leading and trailing +1
+        # entries included
+        rng = random.Random(43)
+        for L in (1, 2, 3, 63, 64, 65, 1000, 4095, 4096):
+            for bits in (0, 1, 1 << L - 1, (1 << L) - 1, rng.getrandbits(L)):
+                h = SignSequence.from_bits(L, bits)
+                assert h.text == "".join("-" if h[k] == -1 else "+" for k in range(L))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SignSequence.from_text("")
