@@ -159,7 +159,8 @@ class BlockSequence:
 
     def _lag(self, u: int) -> tuple[int, int]:
         """(both, flips) of the compression at a lag 1 <= u < 2n, as
-        seqcore._lag_masks gives them; built the first time it is asked."""
+        seqcore._lag_masks gives them; built the first time it is asked
+        and kept at entry u of the table the row was born with."""
         masks = self._lags[u]
         if masks is None:
             masks = self._lags[u] = _lag_masks(self._even, self._minus, u, self._count)
@@ -273,7 +274,9 @@ def cancellation_holds(bs: BlockSequence) -> bool:
     """True when the even-pair product sum vanishes at every nonzero lag,
     i.e. when the compression has zero periodic autocorrelation.  The
     verdict depends on the compression alone; it is decided once per lag
-    table and kept in the table's entry 0, which is never a lag."""
+    table, the row's own or the one an enumeration shares among the rows
+    of a compression, and kept in the table's entry 0, which is never a
+    lag."""
     if bs._lags[0] is None:
         bs._lags[0] = _paf_vanishes(bs._even, bs._minus, bs._count)
     return bs._lags[0]
