@@ -33,9 +33,10 @@ so the chase looks partners up instead of scanning.  A book also keeps a
 step table, filled as chases visit obligations: each ChaseStep is built
 the first time any chase on the book meets its obligation and shared by
 every later trace, so chasing from every start of a row builds each step
-once.  chase builds its steps and its trace without a constructor call,
-setting their slots through the slot descriptors: a chase is a few steps
-long, so the __init__ calls of its records would be a large share of it.
+once.  ChaseStep and ChaseTrace set their slots through the slot
+descriptors, as IndexPair does, which skips _set_field's name lookup.
+chase returns each trace from the ChaseTrace constructor, but builds a
+new step without the __init__ call, which costs about a tenth more.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class IndexPair(_Record):
     """Ordered index pair (first, second), usually (i, (i + u) mod 2n).
 
     The one ordered record: pairs compare as (first, second) tuples.  Its
-    equality, hash and order are written out, as matchings sort and
-    compare pairs; a > b and a >= b reflect to b < a and b <= a.
+    equality and hash come from _Record; its order is written out, as
+    matchings sort pairs; a > b and a >= b reflect to b < a and b <= a.
     """
 
     __slots__ = ("first", "second")
@@ -67,17 +68,9 @@ class IndexPair(_Record):
             raise ValueError("pair indices must be nonnegative")
         if first == second:
             raise ValueError("pair indices must differ")
-        # through the slot descriptors, as chase sets its records' slots
+        # through the slot descriptors, which skip _set_field's name lookup
         _set_first(self, first)
         _set_second(self, second)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.first == other.first and self.second == other.second
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.first, self.second))
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -340,8 +333,8 @@ class ChaseStep(_Record):
     __slots__ = ("obligation", "matched")
 
     def __init__(self, obligation: IndexPair, matched: IndexPair | None) -> None:
-        _set_field(self, "obligation", obligation)
-        _set_field(self, "matched", matched)
+        _set_obligation(self, obligation)
+        _set_matched(self, matched)
 
 
 class ChaseTrace(_Record):
@@ -353,9 +346,9 @@ class ChaseTrace(_Record):
     def __init__(
         self, steps: tuple[ChaseStep, ...], outcome: ChaseOutcome, repeat: IndexPair | None = None
     ) -> None:
-        _set_field(self, "steps", steps)
-        _set_field(self, "outcome", outcome)
-        _set_field(self, "repeat", repeat)
+        _set_steps(self, steps)
+        _set_outcome(self, outcome)
+        _set_repeat(self, repeat)
 
     def successful_steps(self) -> int:
         return sum(1 for s in self.steps if s.matched is not None)
@@ -365,24 +358,13 @@ class ChaseTrace(_Record):
 _CYCLE = ChaseOutcome.CYCLE
 _UNAVAILABLE = ChaseOutcome.MATCHING_UNAVAILABLE
 _DEGENERATE = ChaseOutcome.DEGENERATE
-# a slot descriptor's __set__ skips the name lookup of _set_field
+# the chase records set their slots through these, as IndexPair does, and
+# so does chase for each new step
 _set_steps = ChaseTrace.steps.__set__
 _set_outcome = ChaseTrace.outcome.__set__
 _set_repeat = ChaseTrace.repeat.__set__
 _set_obligation = ChaseStep.obligation.__set__
 _set_matched = ChaseStep.matched.__set__
-
-
-def _trace(
-    steps: tuple[ChaseStep, ...], outcome: ChaseOutcome, repeat: IndexPair | None
-) -> ChaseTrace:
-    """Trusted constructor for chase: equal to ChaseTrace(steps, outcome,
-    repeat), without the __init__ call."""
-    trace = object.__new__(ChaseTrace)
-    _set_steps(trace, steps)
-    _set_outcome(trace, outcome)
-    _set_repeat(trace, repeat)
-    return trace
 
 
 def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace:
@@ -419,21 +401,20 @@ def chase(bs: BlockSequence, book: MatchingBook, start: IndexPair) -> ChaseTrace
     while True:
         step = table.get(b)
         if step is None:
-            # ChaseStep(obligation, matched) without the __init__ call,
-            # stored once both slots are set
-            step = object.__new__(ChaseStep)
+            # ChaseStep(obligation, matched) without the __init__ call, which
+            # costs about a tenth more; neither setter below can raise
+            step = table[b] = object.__new__(ChaseStep)
             _set_obligation(step, _index_pair(a, b))
             _set_matched(step, partners.get(((b - a) % mod, a, b)))
-            table[b] = step
         steps.append(step)
         partner = step.matched
         if partner is None:
-            return _trace(tuple(steps), _UNAVAILABLE, None)
+            return ChaseTrace(tuple(steps), _UNAVAILABLE)
         b = partner.second
         if b == a:
-            return _trace(tuple(steps), _DEGENERATE, None)
+            return ChaseTrace(tuple(steps), _DEGENERATE)
         if b in seen:
-            return _trace(tuple(steps), _CYCLE, _index_pair(a, b))
+            return ChaseTrace(tuple(steps), _CYCLE, _index_pair(a, b))
         seen.add(b)
 
 

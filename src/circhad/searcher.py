@@ -109,7 +109,7 @@ _MAX_ORDER = 4096
 
 
 def _check_order(order: int) -> None:
-    if order < 4 or order % 4 != 0:
+    if not isinstance(order, int) or order < 4 or order % 4 != 0:
         raise ValueError(f"order must be a positive multiple of 4, got {order}")
 
 
@@ -126,7 +126,7 @@ class SearchConfig(_Record):
         ledger_path: str | Path | None = None,
     ) -> None:
         _check_order(order)
-        if workers < 1:
+        if not isinstance(workers, int) or workers < 1:
             raise ValueError("workers must be at least 1")
         unknown = set(prunes) - ALL_PRUNES
         if unknown:

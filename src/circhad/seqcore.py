@@ -141,14 +141,14 @@ _set_field = object.__setattr__
 
 class _Record:
     """A frozen record: a subclass names its fields in __slots__, in
-    constructor order, and sets each once in __init__ with _set_field.
+    constructor order, and sets each once in __init__, with _set_field or
+    through the field's slot descriptor.
 
     Assigning or deleting an attribute raises AttributeError.  Records are
     equal when they are of the same class and their fields are equal, so a
     record never equals a tuple or a record of another class, and the hash
-    agrees with equality.  A subclass that writes its own __eq__ and
-    __hash__ keeps them.  Records have no order; the repr is
-    Name(field=value, ...).
+    agrees with equality.  Records have no order, except IndexPair's; the
+    repr is Name(field=value, ...).
     """
 
     __slots__ = ()
@@ -164,8 +164,7 @@ class _Record:
         def __hash__(self) -> int:
             return hash(values(self))
 
-        if "__eq__" not in vars(cls):
-            cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
         cls.__match_args__ = cls.__slots__
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -194,17 +193,10 @@ class PafSpectrum(_Record):
             raise ValueError("empty spectrum")
         if values[0] != L:
             raise ValueError("peak value must equal the sequence length")
-        for u in range(1, L):
-            if values[u] != values[L - u]:
-                raise ValueError("spectrum must be symmetric about the half length")
+        # values[u] == values[L - u] for u = 1..L-1
+        if values[1:] != values[:0:-1]:
+            raise ValueError("spectrum must be symmetric about the half length")
         _set_field(self, "values", values)
-
-    @classmethod
-    def _trusted(cls, values: tuple[int, ...]) -> "PafSpectrum":
-        """Trusted constructor: the caller guarantees the checks above."""
-        spectrum = cls.__new__(cls)
-        _set_field(spectrum, "values", values)
-        return spectrum
 
     def __len__(self) -> int:
         return len(self.values)
@@ -281,13 +273,12 @@ def paf_spectrum(h: SignSequence) -> PafSpectrum:
     """All lags at once: values[u] = paf(h, u) for u in 0..L-1.
 
     Lags 0..L/2 are computed and mirrored, as paf(h, L - u) = paf(h, u);
-    the peak is L, so the spectrum passes PafSpectrum's checks by
-    construction.
+    the result is checked by the PafSpectrum constructor.
     """
     L = h._length
     ones = (1 << L) - 1
     half = [_ternary_paf(ones, h._bits, u, L) for u in range(L // 2 + 1)]
-    return PafSpectrum._trusted(tuple(half + half[(L - 1) // 2:0:-1]))
+    return PafSpectrum(tuple(half + half[(L - 1) // 2:0:-1]))
 
 
 def is_circulant_hadamard(h: SignSequence) -> bool:

@@ -7,6 +7,7 @@ from circhad.blockform import (
     BlockSequence,
     TwoBlock,
     all_block_sequences,
+    block_decompose,
     cancellation_residual,
     is_symmetric_even,
 )
@@ -25,6 +26,7 @@ from circhad.matchchase import (
     render_matching_lines,
     validate_matching,
 )
+from circhad.seqcore import SignSequence
 
 from helpers import (
     random_sign_text,
@@ -425,6 +427,23 @@ class TestChase:
                 second = chase(bs, book, start)
                 assert first == second
                 assert len(first.steps) <= len(evens) ** 2 + 1
+
+    def test_book_builds_each_step_once(self):
+        # a second chase from every start finds each of its steps in the
+        # book's step table, as the very objects the first pass built
+        rng = random.Random(36)
+        row = block_decompose(SignSequence.from_text(random_sign_text(rng, 36)))
+        assert len(row) == 18 and chase_starts(row)
+        cx = counterexample()
+        for bs, book in ((cx.blocks, cx.book), (row, find_book(row))):
+            built = {}
+            first = [chase(bs, book, start) for start in chase_starts(bs)]
+            second = [chase(bs, book, start) for start in chase_starts(bs)]
+            for old, new in zip(first, second):
+                assert new == old and len(new.steps) == len(old.steps)
+                assert all(s is t for s, t in zip(new.steps, old.steps))
+                for step in old.steps:
+                    assert built.setdefault(step.obligation, step) is step
 
 
 class TestCounterexampleData:

@@ -203,8 +203,9 @@ def test_defaults():
 
 
 def test_chase_records_equal_constructed_ones():
-    # chase sets the slots of its trace and steps without calling __init__;
-    # what it returns must not be told apart from what the constructors build
+    # chase builds its trace and steps with the constructors and reuses
+    # steps from the book's table; what it returns must not be told apart
+    # from what the constructors build
     blocks, cycle_book, start = counterexample()
     degenerate_book = MatchingBook([LagMatching.of(2, [(P02, IndexPair(4, 0))])])
     outcomes = set()

@@ -61,13 +61,14 @@ PRUNE_SELECTIONS = {"both": ALL_PRUNES, "paf": PAF, "rowsum": ROWSUM, "none": fr
 
 class TestConfig:
     def test_order_validation(self):
-        for bad in (0, -4, 3, 6, 10):
+        for bad in (0, -4, 3, 6, 10, 16.0, "16"):
             with pytest.raises(ValueError):
                 SearchConfig(order=bad)
 
     def test_worker_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(order=4, workers=0)
+        for bad in (0, 2.0):
+            with pytest.raises(ValueError):
+                SearchConfig(order=4, workers=bad)
 
     def test_prune_validation(self):
         with pytest.raises(ValueError):
@@ -100,6 +101,8 @@ class TestRowSumPrune:
             rowsum_prune_applicable(9)
         with pytest.raises(ValueError):
             rowsum_prune_applicable(0)
+        with pytest.raises(ValueError):
+            rowsum_prune_applicable(16.0)
 
 
 class TestSearchResults:

@@ -132,6 +132,15 @@ class TestPaf:
         with pytest.raises(ValueError):
             PafSpectrum((4, 1, 0, 0))
 
+    def test_spectrum_symmetry_check(self):
+        # values[u] == values[L - u]; at even L the middle lag pairs with itself
+        for values in ((1,), (2, -2), (3, -1, -1), (4, 0, 1, 0)):
+            assert PafSpectrum(values).values == values
+        message = "^spectrum must be symmetric about the half length$"
+        for values in ((5, 1, 0, 2, 1), (4, 0, 0, 1)):
+            with pytest.raises(ValueError, match=message):
+                PafSpectrum(values)
+
 
 class TestHadamardPredicate:
     def test_known_order_four(self):
@@ -236,7 +245,7 @@ def sign_rows(draw):
 def test_mirrored_spectrum_matches_paf(h):
     spectrum = paf_spectrum(h)
     assert spectrum.values == tuple(paf(h, u) for u in range(len(h)))
-    # the trusted construction would pass the checked one
+    # paf_spectrum builds through the checked constructor, which rebuilds it
     assert PafSpectrum(spectrum.values) == spectrum
 
 
@@ -245,4 +254,7 @@ def test_mirrored_spectrum_every_length():
     for L in range(1, 65):
         for _ in range(4):
             h = seq(random_sign_text(rng, L))
-            assert list(paf_spectrum(h)) == [paf(h, u) for u in range(L)], h.text
+            # the constructor refuses an asymmetric spectrum or a wrong peak
+            spectrum = paf_spectrum(h)
+            assert list(spectrum) == [paf(h, u) for u in range(L)], h.text
+            assert PafSpectrum(spectrum.values) == spectrum
