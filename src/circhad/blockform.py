@@ -30,6 +30,7 @@ gives the rows that share a compression one table.
 from __future__ import annotations
 
 import enum
+from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Iterator
 
@@ -309,9 +310,11 @@ def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
     ``|`` and fills the five slots of a BlockSequence itself, with no call
     per row.  Rows with equal compressions get one lag table, found by the
     compression packed as one key, so a table and its eq. (1) verdict are
-    built once per compression met.  A row compares first on its left half,
-    then on its right half, so walking the left halves in order, each with
-    its right halves in order, keeps lexicographic order.
+    built once per compression met; where the even count is not a perfect
+    square, each row gets its own, holding the verdict False.  A row
+    compares first on its left half, then on its right half, so walking the
+    left halves in order, each with its right halves in order, keeps
+    lexicographic order.
     """
     mask = (1 << k) - 1
     count = 2 * k
@@ -332,12 +335,21 @@ def _joined_rows(k: int, evens: int | None) -> Iterator[BlockSequence]:
         by_count.setdefault(evens_half, []).append(right)
     new = BlockSequence.__new__
     tables: dict[int, list] = {}
+    # with a non-square even count no compression passes (sum c)^2 = n, so
+    # every eq. (1) verdict is False and shared tables would only hold
+    # memory until the generator ends: each row gets a table of its own,
+    # its verdict already in entry 0
+    shared = evens is None or isqrt(evens) ** 2 == evens
     for evens_half, left, left_even, left_minus, left_key in lefts:
         joined = rights if evens is None else by_count.get(evens - evens_half, ())
         for right, right_even, right_minus, right_key in joined:
             lags = tables.get(left_key | right_key)
             if lags is None:
-                lags = tables[left_key | right_key] = [None] * count
+                lags = [None] * count
+                if shared:
+                    tables[left_key | right_key] = lags
+                else:
+                    lags[0] = False
             bs = new(BlockSequence)
             bs._count = count
             bs._bits = left | right

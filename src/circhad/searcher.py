@@ -43,10 +43,10 @@ finished shards (and any sequences they found), in prefix order for any
 worker count, so an interrupted search can be resumed.  The ledger is
 opened and checked even where row-sum settles the order without a walk.
 
-A budget stops a shard in one place.  The deadline is read when the shard
+A budget stops a walk in one place.  The deadline is read when the walk
 starts and then every _DEADLINE_POLL tree nodes; a read past it raises
 _Stop, and the one handler in _run_shard returns the counts reached so far
-(zeros for a shard that never started) with completed False.  The ledger
+(zeros for a walk that never started) with completed False.  The ledger
 records only completed shards, so a resume walks a stopped shard again from
 its start.
 
@@ -54,13 +54,22 @@ Alternation.  For a row h of even order L, let alt(h)_k = (-1)^k h_k.  Each
 product h_k h_{k+u mod L} changes by the same sign (-1)^u, since k and
 k+u mod L differ in parity by u.  So every settled partial sum keeps its
 absolute value: the prefix-paf cut test and the leaf test give the same
-verdict at h and at alt(h), and alt keeps h_0 = +1.  Without row-sum, the
-subtree under shard prefix P is therefore isomorphic to the one under
-alt(P), node for node, with the same leaves, the same cuts and alternated
-hits.  P and alt(P) differ at position 1, so only the shard with '+' there
-is walked and its partner's record is derived from it; the reported counts
-are still those of the full tree.  alt changes the number of -1 entries, so
-a selection with row-sum walks every shard.
+verdict at h and at alt(h), and alt keeps h_0 = +1.  P and alt(P) differ
+at position 1, so only the shards with '+' there are walked, and each walk
+returns the records of P and of alt(P); the reported counts are still
+those of the full tree.  Without row-sum, the subtree under P is
+isomorphic to the one under alt(P), node for node, with the same leaves,
+the same cuts and alternated hits, so the partner's record is derived from
+the walk's (a stopped walk's partner never started).  alt changes the
+number of -1 entries, so with row-sum the two trees differ, though only a
+few percent of their nodes pass row-sum in one tree and not in the other.
+One walk covers their union, carrying the -1 count of h for P and of
+alt(h) for alt(P).  A node that passes row-sum in both takes the shared
+prefix-paf test and counters; a node alive in one tree only continues in
+a small walk of that tree.  A hit of alt(P) is alt of a row met in the
+walk, confirmed by the predicate.  A stopped pair walk stops both records,
+each with the counts it reached.  A resume walks a pair again when the
+ledger lacks either member, and records only the missing one.
 
 With more than one worker, the calling process forks workers - 1 children
 (none where the platform cannot fork), and every process, itself included,
@@ -126,7 +135,7 @@ class SearchConfig(_Record):
         ledger_path: str | Path | None = None,
     ) -> None:
         _check_order(order)
-        if not isinstance(workers, int) or workers < 1:
+        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ValueError("workers must be at least 1")
         unknown = set(prunes) - ALL_PRUNES
         if unknown:
@@ -336,128 +345,206 @@ def _run_shard(
     lags: _PackedLags,
     ends: tuple[int, ...],
     deadline: float | None,
-) -> _ShardResult:
+) -> tuple[_ShardResult, _ShardResult]:
+    """The records of the shards under prefix and under alt(prefix), from
+    one walk (see Alternation in the module docstring)."""
     L = order
     half, last = L // 2, L - 1
     use_paf = PRUNE_PREFIX_PAF in prunes
+    paired = PRUNE_ROW_SUM in prunes
     W, guard, upper = lags.width, lags.guard, lags.upper
     target = lags.balanced + upper
     # the three per-position tables that the back half reads, as one tuple
     # per position; ceil is offset like the state m (see _PackedLags)
     rows = tuple(zip(lags.back, [c + upper for c in lags.ceil], lags.both))
     terms: tuple[int, ...] = ()
-    examined = rowsum_cuts = paf_cuts = 0
-    hits: list[str] = []
+    # counts of the nodes alive in both trees (every node of a walk without
+    # row-sum), then per tree, 0 for the row's and 1 for its alternate's, of
+    # the nodes alive in that tree alone
+    examined = paf_cuts = 0
+    leaves, pafs, rowsums = [0, 0], [0, 0], [0, 0]
+    hits: tuple[list[str], list[str]] = ([], [])
+    sides = [0, 1] if paired else [0]
     poll = _DEADLINE_POLL
 
-    def found(rev: int) -> None:
+    def found(rev: int, *of: int) -> None:
         # only a leaf whose counters all read L/2 can be a hit; the
         # predicate has the last word on it
         seq = SignSequence.from_bits(L, lags.row_bits(rev))
         if is_circulant_hadamard(seq):
-            hits.append(seq.text)
+            for side in of:
+                hits[side].append(seq.text)
 
-    def tick() -> None:
-        # one tree node: the deadline is read every _DEADLINE_POLL of them
+    def refill() -> None:
+        # the deadline is read every _DEADLINE_POLL tree nodes, when poll
+        # runs out
         nonlocal poll
-        poll -= 1
-        if not poll:
-            poll = _DEADLINE_POLL
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop
+        poll = _DEADLINE_POLL
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stop
 
-    def front(p: int, rev: int, fwd: int, neg: int, minus: int) -> None:
+    def front(p: int, rev: int, fwd: int, neg: int, minus: int, malt: int) -> None:
         # positions below L/2 take no cut test: no lag has more than L/2
         # products settled there (see _PackedLags), and every '-' count
         # still reaches a row-sum target.  At L/2 fwd is final, and the
-        # subtree's wrap terms are taken from it once
-        nonlocal terms
+        # subtree's wrap terms are taken from it once.  minus and malt count
+        # the '-' entries of the row and of its alternate
+        nonlocal terms, poll
         if p < half:
-            tick()
+            if not (poll := poll - 1):
+                refill()
             for bit in (0, 1):
-                front(p + 1, *lags.settle(p, bit, rev, fwd, neg), minus + bit)
+                front(p + 1, *lags.settle(p, bit, rev, fwd, neg), minus + bit, malt + (bit ^ p & 1))
+            return
+        terms = tuple(lags.wrap_term(q, fwd) for q in range(L))
+        if p < L and not paired:
+            dfs(p, rev, neg + upper)
+        elif p < L and len(sides) == 2:
+            pair(p, rev, neg + upper, minus, malt)
         else:
-            terms = tuple(lags.wrap_term(q, fwd) for q in range(L))
-            dfs(p, rev, neg + upper, minus)
+            # a whole row, or a tree alive on one side: node p - 1, which
+            # passed its tests in the prefix, is tested again and expanded
+            for side in sides:
+                test(p - 1, rev, neg + upper, (minus, malt)[side], side)
 
-    # tick, _PackedLags.settle and .cut inlined, with the state m = neg +
-    # upper: this is the hot loop.  A child at the last position is a leaf,
-    # counted and tested here without a call; leaves do not read the
-    # deadline.  The row itself is not carried: the rare leaf that reaches
-    # found reads it back from rev.
-    def dfs(p: int, rev: int, m: int, minus: int) -> None:
-        nonlocal examined, rowsum_cuts, paf_cuts, poll
-        poll -= 1
-        if not poll:
-            poll = _DEADLINE_POLL
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Stop
+    # settle and .cut of _PackedLags inlined, with the state m = neg +
+    # upper: this is the hot loop of a walk without row-sum.  A child at the
+    # last position is a leaf, counted and tested here without a call;
+    # leaves do not count towards the deadline poll.  The row itself is not
+    # carried: the rare leaf that reaches found reads it back from rev.
+    def dfs(p: int, rev: int, m: int) -> None:
+        nonlocal examined, paf_cuts, poll
+        if not (poll := poll - 1):
+            refill()
         back, ceil, both = rows[p]
         inc = (rev & back) + terms[p]
         rev <<= W
         # h[p] = +1: the settled products with h[p] are -1 where the other
         # factor is -1, which is what inc counts
         n = m + inc
-        if p >= ends[minus]:
-            rowsum_cuts += 1
-        elif use_paf and (n | (ceil - n)) & guard:
+        if use_paf and (n | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, rev, n, minus)
+            dfs(p + 1, rev, n)
         else:
             examined += 1
             if n == target:
-                found(rev)
+                found(rev, 0)
         # h[p] = -1: the complementary products are -1
         n = m + both - inc
-        minus += 1
-        if p >= ends[minus]:
-            rowsum_cuts += 1
-        elif use_paf and (n | (ceil - n)) & guard:
+        if use_paf and (n | (ceil - n)) & guard:
             paf_cuts += 1
         elif p != last:
-            dfs(p + 1, rev | 1, n, minus)
+            dfs(p + 1, rev | 1, n)
         else:
             examined += 1
             if n == target:
-                found(rev | 1)
+                found(rev | 1, 0)
+
+    # the same at a node alive in both trees of a walk with row-sum: a
+    # child that passes row-sum in both shares the prefix-paf verdict and
+    # the counters, and a child that fails it in one tree is tested for the
+    # other by test
+    def pair(p: int, rev: int, m: int, minus: int, malt: int) -> None:
+        nonlocal examined, paf_cuts, poll
+        if not (poll := poll - 1):
+            refill()
+        back, ceil, both = rows[p]
+        inc = (rev & back) + terms[p]
+        rev <<= W
+        # h[p] = +1, which the alternate negates at odd p
+        n = m + inc
+        a = malt + (p & 1)
+        if p >= ends[minus]:
+            rowsums[0] += 1
+            test(p, rev, n, a, 1)
+        elif p >= ends[a]:
+            rowsums[1] += 1
+            test(p, rev, n, minus, 0)
+        elif use_paf and (n | (ceil - n)) & guard:
+            paf_cuts += 1
+        elif p != last:
+            pair(p + 1, rev, n, minus, a)
+        else:
+            examined += 1
+            if n == target:
+                found(rev, 0, 1)
+        n = m + both - inc
+        minus, a = minus + 1, malt + 1 - (p & 1)
+        if p >= ends[minus]:
+            rowsums[0] += 1
+            test(p, rev | 1, n, a, 1)
+        elif p >= ends[a]:
+            rowsums[1] += 1
+            test(p, rev | 1, n, minus, 0)
+        elif use_paf and (n | (ceil - n)) & guard:
+            paf_cuts += 1
+        elif p != last:
+            pair(p + 1, rev | 1, n, minus, a)
+        else:
+            examined += 1
+            if n == target:
+                found(rev | 1, 0, 1)
+
+    def test(p: int, rev: int, m: int, minus: int, side: int) -> None:
+        # node p of one side's tree, with that side's '-' count: tested,
+        # then expanded; the alternate's count grows by bit ^ (p & 1)
+        nonlocal poll
+        if p >= ends[minus]:
+            rowsums[side] += 1
+        elif use_paf and (m | (rows[p][1] - m)) & guard:
+            pafs[side] += 1
+        elif p == last:
+            leaves[side] += 1
+            if m == target:
+                found(rev, side)
+        else:
+            if not (poll := poll - 1):
+                refill()
+            back, _, both = rows[p + 1]
+            inc = (rev & back) + terms[p + 1]
+            flip = side & (p + 1)
+            test(p + 1, rev << W, m + inc, minus + flip, side)
+            test(p + 1, rev << W | 1, m + both - inc, minus + 1 - flip, side)
 
     # the walk recurses once per position, so a large order needs more
     # frames than the default limit allows
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + L)
     try:
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Stop
+        refill()
         # the prefix is settled one position at a time with the same checks,
-        # in the same order, as a node of the tree; a cut ends the shard
-        rev = fwd = neg = minus = 0
+        # in the same order, as a node of the tree; a cut ends the walk of
+        # the tree it falls in
+        rev = fwd = neg = minus = malt = 0
         for p, ch in enumerate(prefix):
             bit = 1 if ch == "-" else 0
-            minus += bit
+            minus, malt = minus + bit, malt + (bit ^ p & 1)
             rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
-            if p >= ends[minus]:
-                rowsum_cuts += 1
-                break
+            for side in [s for s in sides if p >= ends[(minus, malt)[s]]]:
+                rowsums[side] += 1
+                sides.remove(side)
             if use_paf and lags.cut(p, neg):
-                paf_cuts += 1
-                break
-        else:
-            if len(prefix) < L:
-                front(len(prefix), rev, fwd, neg, minus)
-            else:
-                # at order 4 the prefix is a whole row, a leaf
-                examined += 1
-                if neg == lags.balanced:
-                    found(rev)
+                for side in sides:
+                    pafs[side] += 1
+                sides.clear()
+        if sides:
+            front(len(prefix), rev, fwd, neg, minus, malt)
         completed = True
     except _Stop:
         completed = False
     finally:
         sys.setrecursionlimit(limit)
-    counts = {PRUNE_ROW_SUM: rowsum_cuts, PRUNE_PREFIX_PAF: paf_cuts}
-    cuts = {name: counts[name] for name in sorted(prunes)}
-    return _ShardResult(prefix, completed, examined, cuts, tuple(hits))
+
+    def record(side: int, key: str, texts: tuple[str, ...]) -> _ShardResult:
+        counts = {PRUNE_ROW_SUM: rowsums[side], PRUNE_PREFIX_PAF: paf_cuts + pafs[side]}
+        cuts = {name: counts[name] for name in sorted(prunes)}
+        return _ShardResult(key, completed, examined + leaves[side], cuts, texts)
+
+    first = record(0, prefix, tuple(hits[0]))
+    if not paired:
+        return first, _alternate_result(first)
+    return first, record(1, _alternate(prefix), _alternate_hits(hits[1]))
 
 
 _FLIP = str.maketrans("+-", "-+")
@@ -470,6 +557,16 @@ def _alternate(text: str) -> str:
     return "".join(chars)
 
 
+def _alternate_hits(hits: list[str]) -> tuple[str, ...]:
+    """The alternates of a shard's hits, in text order, each confirmed by
+    the predicate."""
+    texts = tuple(sorted(map(_alternate, hits)))
+    for text in texts:
+        if not is_circulant_hadamard(SignSequence.from_text(text)):
+            raise RuntimeError(f"alternated hit {text} is not a circulant Hadamard row")
+    return texts
+
+
 def _alternate_result(result: _ShardResult) -> _ShardResult:
     """The record of the shard under alt(prefix), derived from the record of
     the shard under prefix when row-sum is off (see the module docstring).
@@ -477,11 +574,7 @@ def _alternate_result(result: _ShardResult) -> _ShardResult:
     prefix = _alternate(result.prefix)
     if not result.completed:
         return _ShardResult(prefix, False, 0, dict.fromkeys(result.cuts, 0), ())
-    # the walk meets hits in text order, '+' before '-'
-    hits = tuple(sorted(map(_alternate, result.hits)))
-    for text in hits:
-        if not is_circulant_hadamard(SignSequence.from_text(text)):
-            raise RuntimeError(f"alternated hit {text} is not a circulant Hadamard row")
+    hits = _alternate_hits(result.hits)
     return _ShardResult(prefix, True, result.examined, dict(result.cuts), hits)
 
 
@@ -708,12 +801,9 @@ class _ShardLedger:
         return examined, counters
 
     def record(self, result: _ShardResult) -> None:
+        counters = (f"{k}={v}" for k, v in sorted(result.cuts.items()))
         lines = [f"{result.prefix} hit {text}" for text in result.hits]
-        counters = " ".join(f"{k}={v}" for k, v in sorted(result.cuts.items()))
-        done = f"{result.prefix} done examined={result.examined}"
-        if counters:
-            done += " " + counters
-        lines.append(done)
+        lines.append(" ".join([f"{result.prefix} done examined={result.examined}", *counters]))
         try:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write("\n".join(lines) + "\n")
@@ -778,36 +868,34 @@ def search(cfg: SearchConfig) -> SearchReport:
         return _build_report(cfg, 0, [], cuts_total, False, elapsed)
 
     prefixes = _shard_prefixes(cfg.order)
-    mirror = PRUNE_ROW_SUM not in cfg.prunes
     results: dict[str, _ShardResult] = dict(ledger.recorded) if ledger else {}
     # records are written in prefix order: a result waits here until every
     # earlier prefix has one
     unrecorded = collections.deque(p for p in prefixes if p not in results)
 
-    def settle(result: _ShardResult) -> None:
-        results[result.prefix] = result
-        if mirror:
-            partner = _alternate_result(result)
-            results.setdefault(partner.prefix, partner)
+    def settle(pair: tuple[_ShardResult, ...]) -> None:
+        # a member the ledger already holds keeps its record
+        for result in pair:
+            results.setdefault(result.prefix, result)
         while unrecorded and unrecorded[0] in results:
             done = results[unrecorded.popleft()]
             if ledger is not None and done.completed:
                 ledger.record(done)
 
-    # either member of a pair in the ledger supplies the other
-    for result in list(results.values()):
-        settle(result)
-    walks = [p for p in prefixes if p not in results and (not mirror or p[1] == "+")]
-    deadline = None
-    if cfg.budget_seconds is not None:
-        deadline = time.monotonic() + cfg.budget_seconds
+    if PRUNE_ROW_SUM not in cfg.prunes:
+        # either member of a pair in the ledger supplies the other
+        for result in list(results.values()):
+            settle((_alternate_result(result),))
+    # a pair is walked from its member with '+' at position 1
+    walks = [p for p in prefixes if p[1] == "+" and {p, _alternate(p)} - results.keys()]
+    deadline = None if cfg.budget_seconds is None else time.monotonic() + cfg.budget_seconds
 
     # built once, before any child forks, so the children inherit them
     targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
     lags = _PackedLags(cfg.order)
     ends = _minus_ok_ends(cfg.order, targets)
 
-    def walk(prefix: str) -> _ShardResult:
+    def walk(prefix: str) -> tuple[_ShardResult, _ShardResult]:
         return _run_shard(cfg.order, prefix, cfg.prunes, lags, ends, deadline)
 
     _walk(walk, walks, cfg.workers, settle)
@@ -817,16 +905,12 @@ def search(cfg: SearchConfig) -> SearchReport:
             f"no result for {len(missing)} shards, first {missing[0]}: a worker process ended early"
         )
 
-    examined = 0
-    hits: list[str] = []
-    incomplete = False
-    for prefix in prefixes:
-        result = results[prefix]
-        examined += result.examined
+    done = [results[prefix] for prefix in prefixes]
+    for result in done:
         for name, count in result.cuts.items():
             cuts_total[name] += count
-        hits.extend(result.hits)
-        if not result.completed:
-            incomplete = True
+    examined = sum(result.examined for result in done)
+    hits = [text for result in done for text in result.hits]
+    incomplete = not all(result.completed for result in done)
     elapsed = time.perf_counter() - started
     return _build_report(cfg, examined, hits, cuts_total, incomplete, elapsed)

@@ -187,7 +187,9 @@ class PafSpectrum(_Record):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple[int, ...]) -> None:
+    def __init__(self, values: Iterable[int]) -> None:
+        # stored as a tuple, so the record is hashable and stays as checked
+        values = tuple(values)
         L = len(values)
         if L == 0:
             raise ValueError("empty spectrum")

@@ -151,7 +151,7 @@ def random_sign_text(rng: random.Random, length: int) -> str:
 REFERENCE_SHARD_DEPTH = 6
 
 
-def _reference_shard(L: int, prefix: str, use_paf: bool, targets) -> tuple[int, dict, list]:
+def reference_shard(L: int, prefix: str, use_paf: bool, targets) -> tuple[int, dict, list]:
     """One shard walked the direct way: a signed partial sum and an
     undetermined-term count per lag, each updated and undone one lag at a
     time, with the same checks in the same order as circhad.searcher."""
@@ -247,7 +247,7 @@ def reference_search(order: int, prunes) -> tuple[int, dict, tuple]:
     examined = 0
     hits: list[str] = []
     for tail in all_sign_texts(depth - 1):
-        n, shard_cuts, shard_hits = _reference_shard(L, "+" + tail, "prefix-paf" in prunes, targets)
+        n, shard_cuts, shard_hits = reference_shard(L, "+" + tail, "prefix-paf" in prunes, targets)
         examined += n
         hits += shard_hits
         for name in cuts:

@@ -375,6 +375,12 @@ class TestLagTable:
     @pytest.mark.parametrize("make, size", ENUMERATIONS, ids=lambda v: getattr(v, "__name__", v))
     def test_rows_share_a_table_exactly_when_compressions_are_equal(self, make, size):
         rows = list(make(size))
+        if make is enumerate_block_sequences and size in (2, 3):
+            # no compression of a non-square even count passes eq. (1): each
+            # row has a table of its own, born with the verdict False
+            assert len({id(bs._lags) for bs in rows}) == len(rows)
+            assert all(bs._lags == [False] + [None] * (len(bs) - 1) for bs in rows)
+            return
         tables = {}
         for bs in rows:
             assert tables.setdefault((bs._even, bs._minus), bs._lags) is bs._lags
@@ -402,7 +408,8 @@ class TestLagTable:
         for bs in first:
             cancellation_residual(bs, 1)
             cancellation_holds(bs)
-        assert all(bs._lags == [None] * 6 for bs in second)
+        # n = 3 is not a square, so every verdict is False from the start
+        assert all(bs._lags == [False] + [None] * 5 for bs in second)
 
     def test_eqn1_decided_once_per_compression(self, monkeypatch):
         calls = []
@@ -415,6 +422,16 @@ class TestLagTable:
         assert sum(1 for _ in enumerate_block_sequences(4, cancellation_holds)) == 768
         assert len(calls) == 1120
         assert len(set(calls)) == 1120
+
+    def test_non_square_enumeration_shares_no_table(self):
+        # at n = 5 no compression passes eq. (1): rows of one compression
+        # keep tables of their own, so none outlives its row, and the
+        # verdict each is born with is the one a fresh decision gives
+        rows = list(itertools.islice(enumerate_block_sequences(5), 2000))
+        assert len({(bs._even, bs._minus) for bs in rows}) < len(rows)
+        assert len({id(bs._lags) for bs in rows}) == len(rows)
+        for bs in rows:
+            assert cancellation_holds(bs) is _paf_vanishes(bs._even, bs._minus, len(bs)) is False
 
 
 class TestSymmetricEven:

@@ -50,6 +50,7 @@ from helpers import (
     reference_packed_lag_tables,
     reference_residual,
     reference_search,
+    reference_shard,
     stop_after_reads,
     time_limit,
 )
@@ -69,6 +70,13 @@ class TestConfig:
         for bad in (0, 2.0):
             with pytest.raises(ValueError):
                 SearchConfig(order=4, workers=bad)
+
+    @pytest.mark.parametrize("field", ["order", "workers"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_order_or_worker_count_refused(self, field, flag):
+        # bool is an int subclass, but neither flag is a count
+        with pytest.raises(ValueError):
+            SearchConfig(**{"order": 4, field: flag})
 
     def test_prune_validation(self):
         with pytest.raises(ValueError):
@@ -170,9 +178,9 @@ class TestSearchResults:
 
     @time_limit(SEARCH_SECONDS)
     def test_pool_never_exceeds_shard_count(self, monkeypatch):
-        # 8 shards walked with row-sum, 4 without; the calling process is
-        # the last of min(workers, walks) workers
-        for prunes, walks in ((ALL_PRUNES, 8), (PAF, 4)):
+        # 4 pairs walked with row-sum or without; the calling process is the
+        # last of min(workers, walks) workers
+        for prunes, walks in ((ALL_PRUNES, 4), (PAF, 4)):
             with monkeypatch.context() as patch:
                 forked = count_forks(patch, limit=walks - 1)
                 wide = search(SearchConfig(order=4, prunes=prunes, workers=10_000))
@@ -468,14 +476,17 @@ class TestWhatIsCut:
     def test_golden_shard_counts(self, selection, examined, cuts):
         # one order-24 shard walked directly; row-sum targets apply though
         # 24 is not a square, so every selection walks it
-        result = TestAlternation.walk(24, "++-+--", PRUNE_SELECTIONS[selection])
+        result, _ = TestAlternation.walk(24, "++-+--", PRUNE_SELECTIONS[selection])
         assert result == _ShardResult("++-+--", True, examined, cuts, ())
 
 
 class TestAlternation:
     @staticmethod
-    def walk(order, prefix, prunes, deadline=None):
-        targets = _minus_targets(order) if "row-sum" in prunes else None
+    def walk(order, prefix, prunes, deadline=None, targets=None):
+        """The records of the shards under prefix and under its alternate,
+        from one walk; row-sum targets default to the order's own."""
+        if "row-sum" in prunes and targets is None:
+            targets = _minus_targets(order)
         tables = _PackedLags(order), _minus_ok_ends(order, targets)
         return _run_shard(order, prefix, prunes, *tables, deadline)
 
@@ -488,41 +499,74 @@ class TestAlternation:
         tail = data.draw(st.text("+-", min_size=length - 1, max_size=length - 1))
         prefix = "+" + tail
         for prunes in (PAF, frozenset()):
-            shard = self.walk(order, prefix, prunes)
-            partner = self.walk(order, _alternate(prefix), prunes)
+            shard, derived = self.walk(order, prefix, prunes)
+            partner, _ = self.walk(order, _alternate(prefix), prunes)
             assert partner.completed == shard.completed
             assert partner.examined == shard.examined
             assert partner.cuts == shard.cuts
             assert partner.hits == tuple(sorted(map(_alternate, shard.hits)))
-            assert _alternate_result(shard) == partner
+            assert derived == _alternate_result(shard) == partner
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=40)
+    def test_paired_walk_matches_two_reference_walks(self, data):
+        # with row-sum the two trees differ, and one walk over their union
+        # gives both records.  Targets other than the order's own, at square
+        # orders or not, make the trees part sooner and one outlive the
+        # other by more levels.  Any targets L/2 - a and L/2 + b with a, b at
+        # most L/4 leave every '-' count reachable below L/2, as the walk
+        # assumes (see test_no_cut_falls_below_half_exhaustive)
+        order = data.draw(st.sampled_from(range(4, 41, 4)), label="order")
+        # 3 to 8 free positions keep the reference walk small
+        length = data.draw(st.integers(max(1, order - 8), max(1, order - 3)), label="length")
+        tail = data.draw(st.text("+-", min_size=length - 1, max_size=length - 1))
+        prefix = "+" + tail
+        spread = st.integers(0, order // 4)
+        targets = data.draw(st.one_of(
+            st.just(_minus_targets(order)),
+            st.tuples(spread, spread).map(lambda ab: (order // 2 - ab[0], order // 2 + ab[1])),
+        ), label="targets")
+        for prunes in (ALL_PRUNES, ROWSUM):
+            pair = self.walk(order, prefix, prunes, targets=targets)
+            for result, key in zip(pair, (prefix, _alternate(prefix))):
+                examined, cuts, hits = reference_shard(order, key, "prefix-paf" in prunes, targets)
+                expected = {name: cuts[name] for name in sorted(prunes)}
+                assert result == _ShardResult(key, True, examined, expected, tuple(hits))
 
     @pytest.mark.parametrize("prunes", [PAF, frozenset()], ids=["paf", "none"])
     def test_order_four_partners_alternate_hits(self, prunes):
         derived = []
         for prefix in _shard_prefixes(4)[:4]:
-            shard = self.walk(4, prefix, prunes)
-            partner = self.walk(4, _alternate(prefix), prunes)
-            assert _alternate_result(shard) == partner
+            shard, alternate = self.walk(4, prefix, prunes)
+            partner, _ = self.walk(4, _alternate(prefix), prunes)
+            assert alternate == _alternate_result(shard) == partner
             derived += partner.hits
         assert derived == ["+-++", "+---"]
         # the one-entry prefix is its own partner; alt reverses the walk
         # order of its four hits, which must be sorted back
-        whole = self.walk(4, "+", prunes)
+        whole, alternate = self.walk(4, "+", prunes)
         assert len(whole.hits) == 4
-        assert _alternate_result(whole) == whole
+        assert alternate == whole
 
     def test_row_sum_pair_differs(self):
-        # alt changes the number of '-' entries, so row-sum walks both
-        shard = self.walk(16, "++++++", ROWSUM)
-        partner = self.walk(16, "+-+-+-", ROWSUM)
+        # alt changes the number of '-' entries, so the two records differ;
+        # each is the one a walk from that member gives
+        shard, partner = self.walk(16, "++++++", ROWSUM)
         assert (shard.examined, shard.cuts) == (211, {"row-sum": 374})
         assert (partner.examined, partner.cuts) == (240, {"row-sum": 440})
+        assert self.walk(16, "+-+-+-", ROWSUM) == (partner, shard)
 
     def test_aborted_shard_gives_unstarted_partner(self):
-        aborted = self.walk(16, "++++++", PAF, deadline=0.0)
+        aborted, partner = self.walk(16, "++++++", PAF, deadline=0.0)
         assert not aborted.completed
-        partner = _alternate_result(aborted)
+        assert partner == _alternate_result(aborted)
         assert partner == _ShardResult("+-+-+-", False, 0, {"prefix-paf": 0}, ())
+
+    def test_aborted_pair_walk_reports_both_members(self):
+        # a paired walk stopped at its start has reached no node of either tree
+        pair = self.walk(16, "++++++", ALL_PRUNES, deadline=0.0)
+        cuts = {"prefix-paf": 0, "row-sum": 0}
+        assert pair == tuple(_ShardResult(p, False, 0, cuts, ()) for p in ("++++++", "+-+-+-"))
 
     @pytest.mark.parametrize("kept", ["+", "-"], ids=["representatives", "partners"])
     @pytest.mark.parametrize("order, prunes", [(4, PAF), (16, frozenset())], ids=["o4", "o16"])
@@ -547,26 +591,43 @@ class TestAlternation:
         else:
             assert sorted(after) == sorted(records)
 
+    @pytest.mark.parametrize("kept", ["+", "-"], ids=["representatives", "partners"])
+    @pytest.mark.parametrize("prunes", [ALL_PRUNES, ROWSUM], ids=["both", "rowsum"])
+    def test_row_sum_resume_records_only_the_missing_member(self, tmp_path, kept, prunes):
+        # with row-sum a member does not supply its partner: the pair is
+        # walked again, and only the member the ledger lacks is appended
+        ledger = tmp_path / "shards.ledger"
+        whole = search(SearchConfig(order=16, prunes=prunes, ledger_path=ledger))
+        header, *records = ledger.read_text().splitlines(keepends=True)
+        kept_records = [r for r in records if r[1] == kept]
+        ledger.write_text(header + "".join(kept_records))
+        resumed = search(SearchConfig(order=16, prunes=prunes, ledger_path=ledger))
+        assert resumed.canonical_json() == whole.canonical_json()
+        header_after, *after = ledger.read_text().splitlines(keepends=True)
+        assert after[: len(kept_records)] == kept_records
+        assert sorted(after) == sorted(records)
+
 
 class TestStop:
     """Where a budget stops a shard.  The clock reads 0.0 for its first
     `reads` calls and 1.0 after, against deadline 0.5, so the stop falls at
-    a fixed node; the counts are those reached there."""
+    a fixed node; the counts are those reached there.  With row-sum the
+    node is one of the walk over the union of a pair's two trees."""
 
     @pytest.mark.parametrize(
         "order, prefix, prunes, reads, completed, examined, cuts",
         [
             (24, "+++---", PAF, 1, False, 0, {"prefix-paf": 4084}),
             (24, "+++---", PAF, 2, False, 0, {"prefix-paf": 8182}),
-            (36, "+-+-+-", ALL_PRUNES, 1, False, 0, {"prefix-paf": 3220, "row-sum": 858}),
-            (36, "+-+-+-", ALL_PRUNES, 3, False, 0, {"prefix-paf": 9984, "row-sum": 2290}),
+            (36, "+-+-+-", ALL_PRUNES, 1, False, 0, {"prefix-paf": 3080, "row-sum": 782}),
+            (36, "+-+-+-", ALL_PRUNES, 3, False, 0, {"prefix-paf": 9444, "row-sum": 2247}),
             (20, "++++++", frozenset(), 1, False, 4092, {}),
             (20, "++++++", frozenset(), 2, False, 8190, {}),
-            (20, "+-++-+", ROWSUM, 1, False, 1507, {"row-sum": 2580}),
+            (20, "+-++-+", ROWSUM, 1, False, 1153, {"row-sum": 1967}),
             # at a node below L/2, where fwd is still set: position 19 of 40
             # and position 13 of 28
-            (40, "+", ALL_PRUNES, 2, False, 0, {"prefix-paf": 6651, "row-sum": 1524}),
-            (28, "++++++", ALL_PRUNES, 28, False, 0, {"prefix-paf": 97841, "row-sum": 16841}),
+            (40, "+", ALL_PRUNES, 2, False, 0, {"prefix-paf": 6279, "row-sum": 1521}),
+            (28, "++++++", ALL_PRUNES, 28, False, 0, {"prefix-paf": 96258, "row-sum": 16467}),
             # at position 28 of 40, in the back half
             (40, "++++++", PAF, 1, False, 0, {"prefix-paf": 4079}),
             # out of time at its start: the shard never starts
@@ -586,8 +647,34 @@ class TestStop:
             with monkeypatch.context() as patch:
                 stop_after_reads(patch, reads)
                 runs.append(TestAlternation.walk(order, prefix, prunes, deadline=0.5))
-        assert runs[0] == runs[1] == _ShardResult(prefix, completed, examined, cuts, ())
+        assert runs[0] == runs[1]
+        shard, partner = runs[0]
+        assert shard == _ShardResult(prefix, completed, examined, cuts, ())
+        # a stopped walk stops both members of its pair
+        assert partner.completed == completed
         assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
+    @time_limit(SEARCH_SECONDS)
+    def test_stopped_searches_resume_to_the_whole_report(
+        self, monkeypatch, tmp_path, selection, workers
+    ):
+        # each stopped run records the pairs it finished before its clock
+        # ran out; the last run resumes from the ledger without a budget
+        prunes = PRUNE_SELECTIONS[selection]
+        ledger = tmp_path / "shards.ledger"
+        for reads in (2, 3):
+            with monkeypatch.context() as patch:
+                stop_after_reads(patch, reads)
+                stopped = search(SearchConfig(
+                    order=16, prunes=prunes, workers=workers, budget_seconds=0.5,
+                    ledger_path=ledger,
+                ))
+            assert stopped.incomplete
+        resumed = search(SearchConfig(order=16, prunes=prunes, workers=workers, ledger_path=ledger))
+        whole = search(SearchConfig(order=16, prunes=prunes))
+        assert resumed.canonical_json() == whole.canonical_json()
 
 
 @st.composite
@@ -689,7 +776,7 @@ def test_packed_leaf_verdict_exhaustive_length_four():
 def test_walk_leaves_report_the_order_four_hits(selection):
     # with prefix "+" the last three positions are set inside the walk, so
     # each hit is read back from a leaf's rev, not from the prefix loop
-    result = TestAlternation.walk(4, "+", PRUNE_SELECTIONS[selection])
+    result, _ = TestAlternation.walk(4, "+", PRUNE_SELECTIONS[selection])
     assert result.completed
     assert result.hits == ("+++-", "++-+", "+-++", "+---")
 
@@ -720,7 +807,7 @@ def test_walk_leaves_report_the_rows_of_the_balanced_state(monkeypatch, selectio
     assert chosen in expected and len(expected) > 1
     lags.balanced = state(chosen)
     monkeypatch.setattr(searcher, "is_circulant_hadamard", lambda seq: True)
-    result = _run_shard(L, "+", prunes, lags, _minus_ok_ends(L, targets), None)
+    result, _ = _run_shard(L, "+", prunes, lags, _minus_ok_ends(L, targets), None)
     assert result.completed
     assert result.hits == expected
 

@@ -141,6 +141,15 @@ class TestPaf:
             with pytest.raises(ValueError, match=message):
                 PafSpectrum(values)
 
+    def test_spectrum_from_a_list_is_a_frozen_tuple(self):
+        spectrum = PafSpectrum([4, 0, 0, 0])
+        assert spectrum == PafSpectrum((4, 0, 0, 0))
+        assert hash(spectrum) == hash(PafSpectrum((4, 0, 0, 0)))
+        assert spectrum.values == (4, 0, 0, 0)
+        with pytest.raises(TypeError):
+            spectrum.values[1] = 7
+        assert spectrum.values == (4, 0, 0, 0)
+
 
 class TestHadamardPredicate:
     def test_known_order_four(self):
