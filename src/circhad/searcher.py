@@ -61,8 +61,9 @@ those of the full tree.  Without row-sum, the subtree under P is
 isomorphic to the one under alt(P), node for node, with the same leaves,
 the same cuts and alternated hits, so the partner's record is derived from
 the walk's (a stopped walk's partner never started).  alt changes the
-number of -1 entries, so with row-sum the two trees differ, though only a
-few percent of their nodes pass row-sum in one tree and not in the other.
+number of -1 entries, so with row-sum the two trees differ, though with
+prefix-paf too fewer than a tenth of the nodes of their union at orders
+16 and 36 are alive in one tree only.
 One walk covers their union, carrying the -1 count of h for P and of
 alt(h) for alt(P).  A node that passes row-sum in both takes the shared
 prefix-paf test and counters; a node alive in one tree only continues in
@@ -347,7 +348,9 @@ def _run_shard(
     deadline: float | None,
 ) -> tuple[_ShardResult, _ShardResult]:
     """The records of the shards under prefix and under alt(prefix), from
-    one walk (see Alternation in the module docstring)."""
+    one walk (see Alternation in the module docstring).  ends comes from
+    _minus_ok_ends, with targets that every '-' count can still reach
+    below L/2, as the order's own can: no row-sum test is made there."""
     L = order
     half, last = L // 2, L - 1
     use_paf = PRUNE_PREFIX_PAF in prunes
