@@ -14,8 +14,8 @@ optional prunes cut branches:
   bounded by the number of still-undetermined terms; a branch that cannot
   reach zero at some lag is cut.  That happens exactly when the settled
   products of one sign, -1 or +1, outnumber L/2.  The state is one packed
-  integer with a counter of settled -1 products per lag (see _PackedLags),
-  so setting a position and testing every lag for both signs are a few
+  integer with an offset counter of settled -1 products per lag (see
+  _PackedLags), so setting a position and testing every lag for both signs are a few
   additions, a subtraction, an | and an & on nonnegative integers, not a
   loop over the L/2 lags.  The state is passed down the recursion; nothing
   is undone on the way back.  The walk has two halves.  Below position
@@ -24,13 +24,14 @@ optional prunes cut branches:
   taken once for the whole subtree, and the inlined kernel of the back
   half carries only the reversed prefix and the offset counters.
 
-The tables of both prunes are built once per search, before any shard is
-walked, and every shard reads them; they are freed with the search.  The
-per-position tables of prefix-paf take O(L^2) memory and time, about 40 MB
-and 0.05 s at L = 4096, so a search above _MAX_ORDER that the row-sum
-shortcut does not settle is refused with ValueError before any table is
-built; no budget could cover it, and no walk at such an order could
-finish.
+One walk table, _PackedLags, holds everything a shard walk reads: the
+tables of both prunes, the leaf target and the prune flags.  It is built
+once per search, before any shard is walked, and every shard reads it; it
+is freed with the search.  The per-position tables of prefix-paf take
+O(L^2) memory and time, about 40 MB and 0.05 s at L = 4096, so a search
+above _MAX_ORDER that the row-sum shortcut does not settle is refused with
+ValueError before any table is built; no budget could cover it, and no
+walk at such an order could finish.
 
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
@@ -55,16 +56,17 @@ product h_k h_{k+u mod L} changes by the same sign (-1)^u, since k and
 k+u mod L differ in parity by u.  So every settled partial sum keeps its
 absolute value: the prefix-paf cut test and the leaf test give the same
 verdict at h and at alt(h), and alt keeps h_0 = +1.  P and alt(P) differ
-at position 1, so only the shards with '+' there are walked, and each walk
-returns the records of P and of alt(P); the reported counts are still
-those of the full tree.  Without row-sum, the subtree under P is
-isomorphic to the one under alt(P), node for node, with the same leaves,
-the same cuts and alternated hits, so the partner's record is derived from
-the walk's (a stopped walk's partner never started).  alt changes the
-number of -1 entries, so with row-sum the two trees differ, though with
-prefix-paf too fewer than a tenth of the nodes of their union at orders
-16 and 36 are alive in one tree only.
-One walk covers their union, carrying the -1 count of h for P and of
+at position 1, so only the shards with '+' there are walked; the reported
+counts are still those of the full tree.  Without row-sum, the subtree
+under P is isomorphic to the one under alt(P), node for node, with the
+same leaves, the same cuts and alternated hits.  So a walk returns P's
+record alone, and the settle step of search() is the one place that
+derives alt(P)'s from it, as it does from a record read from the ledger
+(a stopped walk's partner never started).  alt changes the number of -1
+entries, so with row-sum the two trees differ, though with prefix-paf too
+fewer than a tenth of the nodes of their union at orders 16 and 36 are
+alive in one tree only.  One walk covers their union and returns the
+records of P and of alt(P), carrying the -1 count of h for P and of
 alt(h) for alt(P).  A node that passes row-sum in both takes the shared
 prefix-paf test and counters; a node alive in one tree only continues in
 a small walk of that tree.  A hit of alt(P) is alt of a row met in the
@@ -141,9 +143,15 @@ class SearchConfig(_Record):
         unknown = set(prunes) - ALL_PRUNES
         if unknown:
             raise ValueError(f"unknown prunes: {sorted(unknown)}")
-        # NaN fails every comparison, so it is refused with inf
-        if budget_seconds is not None and not 0 <= budget_seconds < inf:
-            raise ValueError("budget_seconds must be finite and nonnegative")
+        if not isinstance(canonicalize, bool):
+            raise ValueError("canonicalize must be True or False")
+        if budget_seconds is not None:
+            # bool is an int subclass, but a flag is no number of seconds
+            if isinstance(budget_seconds, bool) or not isinstance(budget_seconds, (int, float)):
+                raise ValueError("budget_seconds must be a number of seconds")
+            # NaN fails every comparison, so it is refused with inf
+            if not 0 <= budget_seconds < inf:
+                raise ValueError("budget_seconds must be finite and nonnegative")
         values = (order, frozenset(prunes), workers, canonicalize, budget_seconds, ledger_path)
         for name, value in zip(self.__slots__, values):
             _set_field(self, name, value)
@@ -223,46 +231,76 @@ class _Stop(Exception):
     """The budget deadline has passed; raised inside a shard's walk."""
 
 
+def _minus_ok_ends(order: int, minus_targets: tuple[int, ...] | None) -> tuple[int, ...]:
+    """ends[m] for m = 0..order: with m '-' entries among positions 0..p,
+    some target count of '-' entries is still reachable exactly when
+    p < ends[m] (always, without row-sum).
+
+    Target t is reachable when m <= t <= m + (order - p - 1), that is when
+    t >= m and p < m + order - t, so ends[m] is the largest such bound over
+    the targets t >= m, which the least of them gives, and 0 where there is
+    none.  One entry per count, where a table by position and count would
+    take O(order^2).
+    """
+    if minus_targets is None:
+        return (order,) * (order + 1)
+    ends: list[int] = []
+    # the counts from len(ends) up to t, if any, have t as their least target
+    for t in sorted(minus_targets):
+        ends += range(len(ends) + order - t, order + 1)
+    return tuple(ends + [0] * (order + 1 - len(ends)))
+
+
 class _PackedLags:
-    """The prefix-paf state of a partial row, every lag in one integer.
+    """The walk table of one search, and the prefix-paf state of a partial
+    row with every lag in one integer.
 
-    Positions are set in order 0, 1, 2, ...  For each lag u = 1..L/2, the
-    W-bit field at bit W*(u-1) of ``neg`` counts the settled products
-    h[k]h[k+u mod L] that are -1.  A lag with ``settled`` products settled
-    has partial sum settled - 2*neg and L - settled products undetermined,
-    so |partial| > undetermined holds exactly when one sign outnumbers L/2:
-    neg > L/2 or settled - neg > L/2.  The test is symmetric in the two
-    signs.  Adding ``upper``, 2^(W-1) - 1 - L/2 in every field, to ``neg``
-    sets the top ("guard") bit of a field where neg > L/2; subtracting
-    ``neg`` from ``ceil[p]``, upper + settled in every field once position
-    p is set, sets it where settled - neg > L/2.  W = L.bit_length() gives
-    2^(W-1) > L/2.  Each field of either result lies in [0, 2^W): the first
-    is at most upper + L < 2^W, and the second at least upper >= 0, since
-    neg <= settled in every field.  So no field carries into the next or
-    borrows from it, and both operands stay nonnegative, which keeps
-    CPython's big-int | and & off their two's-complement path.
+    It is built once per search from the order and the prune selection,
+    before any worker forks, and holds everything a shard walk reads: the
+    per-position ``rows``, the leaf ``target``, the prune flags ``use_paf``
+    and ``paired`` (row-sum), the sorted prune names ``prunes`` and the
+    row-sum table ``ends`` (see _minus_ok_ends), built from the order's own
+    targets, so every '-' count still reaches one below L/2.
 
-    The increments come from two more packed integers of the prefix: ``rev``
-    holds bit h[p-u] in field u (the prefix reversed), and ``fwd`` holds the
-    first half forward, h[j] in field j+1, for the products that wrap round.
-    A whole row is read back from ``rev`` alone (see row_bits).
+    Positions are set in order 0, 1, 2, ...  For each lag u = 1..L/2, let
+    neg count the settled products h[k]h[k+u mod L] that are -1.  The state
+    m holds upper + neg in the W-bit field at bit W*(u-1), where ``upper``,
+    2^(W-1) - 1 - L/2 in every field, is the state before any position is
+    set.  A lag with ``settled`` products settled has partial sum
+    settled - 2*neg and L - settled products undetermined, so
+    |partial| > undetermined holds exactly when one sign outnumbers L/2:
+    neg > L/2 or settled - neg > L/2.  The first sets the top ("guard") bit
+    of a field of m; the second sets it in ceil - m, where the ceiling
+    ``ceil`` holds 2*upper + settled in every field once position p is set.
+    So the cut test is (m | (ceil - m)) & guard.  W = L.bit_length() gives
+    2^(W-1) > L/2.  Each field of each operand lies in [0, 2^W): m is at
+    most upper + L < 2^W, ceil at most 2*upper + L = 2^W - 2, and ceil - m
+    at least upper >= 0, since neg <= settled in every field.  So no field
+    carries into the next or borrows from it, and every operand stays
+    nonnegative, which keeps CPython's big-int | and & off their
+    two's-complement path.
+
+    ``rows[p]`` is (back, ceil, both) at position p.  Setting position p
+    to +1 adds the settled products with h[p] whose other factor is -1:
+    rev & back, plus the wrap term; setting it to -1 adds the rest of the
+    ``both`` products it settles.  ``rev`` holds bit h[p-u] in field u (the
+    prefix reversed), and ``fwd`` holds the first half forward, h[j] in
+    field j+1, for the products that wrap round.  A whole row is read back
+    from ``rev`` alone (see row_bits).
 
     The two halves of a row differ.  Below L/2 no product wraps round
     (``wrap[p]`` is 0), and every lag has settled(u, p) <= p < L/2
     products, so no cut can fall there.  From L/2 on, ``spread[p]`` is 0:
     ``fwd`` is final, and each position's wrap term (see wrap_term) is the
-    same for the whole subtree, so a walk takes them once at L/2.  A walk
-    may also carry the offset state m = neg + upper in place of neg: then
-    the cut test is (m | (ceil[p] + upper - m)) & guard, one addition
-    fewer, and the leaf test is m == balanced + upper.  Every field of
-    ceil[p] + upper, 2*upper + settled <= 2^W - 2, still lies in [0, 2^W).
+    same for the whole subtree, so a walk takes them once at L/2.
 
     Once every position is set, all L products of each lag are settled, and
     paf(u) = 0 for every u = 1..L/2 (hence, by paf(u) = paf(L-u), for every
-    nonzero lag) exactly when ``neg`` equals ``balanced``, L/2 in every field.
+    nonzero lag) exactly when m equals ``target``, upper + L/2 in every
+    field.
     """
 
-    def __init__(self, order: int) -> None:
+    def __init__(self, order: int, prunes: frozenset[str]) -> None:
         L = order
         half = L // 2
         W = L.bit_length()
@@ -272,16 +310,21 @@ class _PackedLags:
             return 1 << W * (u - 1)
 
         ones = sum(unit(u) for u in range(1, half + 1))
+        self.order = L
         self.width = W
         self.guard = top * ones
         self.upper = (top - 1 - half) * ones
-        self.balanced = half * ones
+        self.target = (top - 1) * ones
+        self.use_paf = PRUNE_PREFIX_PAF in prunes
+        self.paired = PRUNE_ROW_SUM in prunes
+        self.prunes = tuple(sorted(prunes))
+        self.ends = _minus_ok_ends(L, _minus_targets(L) if self.paired else None)
         # products h[p-u]h[p] (lags u <= p) and h[p]h[p+u-L] (lags u >= L-p)
         # settled by position p; built position by position, since summing
         # every field afresh at every position costs O(L^3) word operations
-        back, wrap, ceil = [], [], []
+        rows, wrap = [], []
         b = w = 0
-        c = self.upper
+        c = 2 * self.upper
         for p in range(L):
             if 1 <= p <= half:
                 b += unit(p)
@@ -289,11 +332,9 @@ class _PackedLags:
                 w += unit(L - p)
             # lag u has settled(u, p) = settled(u, p - 1) + [u <= p] + [u >= L - p]
             c += b + w
-            back.append(b)
+            rows.append((b, c, b + w))
             wrap.append(w)
-            ceil.append(c)
-        self.back, self.wrap, self.ceil = tuple(back), tuple(wrap), tuple(ceil)
-        self.both = tuple(b + w for b, w in zip(back, wrap))
+        self.rows, self.wrap = tuple(rows), tuple(wrap)
         self.shift = tuple(W * (L - p - 1) for p in range(L))
         self.spread = tuple(1 << W * p if p < half else 0 for p in range(L))
 
@@ -303,63 +344,33 @@ class _PackedLags:
         0 below L/2."""
         return (fwd << self.shift[p]) & self.wrap[p]
 
-    def settle(self, p: int, bit: int, rev: int, fwd: int, neg: int) -> tuple[int, int, int]:
-        """(rev, fwd, neg) after setting position p to -1 (bit 1) or +1 (bit 0)."""
-        inc = (rev & self.back[p]) + self.wrap_term(p, fwd)
+    def settle(self, p: int, bit: int, rev: int, fwd: int, m: int) -> tuple[int, int, int]:
+        """(rev, fwd, m) after setting position p to -1 (bit 1) or +1 (bit 0)."""
+        back, _, both = self.rows[p]
+        inc = (rev & back) + self.wrap_term(p, fwd)
         if bit:
-            inc = self.both[p] - inc
-        return (rev << self.width) | bit, fwd | self.spread[p] * bit, neg + inc
+            inc = both - inc
+        return (rev << self.width) | bit, fwd | self.spread[p] * bit, m + inc
 
-    def cut(self, p: int, neg: int) -> bool:
+    def cut(self, p: int, m: int) -> bool:
         """True when some lag can no longer reach zero once position p is set."""
-        return bool(((neg + self.upper) | (self.ceil[p] - neg)) & self.guard)
+        return bool((m | (self.rows[p][1] - m)) & self.guard)
 
     def row_bits(self, rev: int) -> int:
         """The packed row (bit k set for h[k] = -1) of a whole row whose
         ``rev`` holds h[L-1-k] in field k."""
-        W, last = self.width, len(self.back) - 1
+        W, last = self.width, self.order - 1
         return sum((rev >> W * (last - k) & 1) << k for k in range(last + 1))
 
 
-def _minus_ok_ends(order: int, minus_targets: tuple[int, ...] | None) -> tuple[int, ...]:
-    """ends[m] for m = 0..order: with m '-' entries among positions 0..p,
-    some target count of '-' entries is still reachable exactly when
-    p < ends[m] (always, without row-sum).
-
-    Target t is reachable when m <= t <= m + (order - p - 1), that is when
-    t >= m and p < m + order - t, so ends[m] is the largest such bound over
-    the targets t >= m, and 0 where there is none.  One entry per count,
-    where a table by position and count would take O(order^2).
-    """
-    if minus_targets is None:
-        return (order,) * (order + 1)
-    return tuple(
-        max((m + order - t for t in minus_targets if t >= m), default=0)
-        for m in range(order + 1)
-    )
-
-
-def _run_shard(
-    order: int,
-    prefix: str,
-    prunes: frozenset[str],
-    lags: _PackedLags,
-    ends: tuple[int, ...],
-    deadline: float | None,
-) -> tuple[_ShardResult, _ShardResult]:
-    """The records of the shards under prefix and under alt(prefix), from
-    one walk (see Alternation in the module docstring).  ends comes from
-    _minus_ok_ends, with targets that every '-' count can still reach
-    below L/2, as the order's own can: no row-sum test is made there."""
-    L = order
+def _run_shard(lags: _PackedLags, prefix: str, deadline: float | None) -> tuple[_ShardResult, ...]:
+    """The records of the shards that one walk from prefix covers: that of
+    prefix alone without row-sum, and with it also that of alt(prefix) (see
+    Alternation in the module docstring)."""
+    L = lags.order
     half, last = L // 2, L - 1
-    use_paf = PRUNE_PREFIX_PAF in prunes
-    paired = PRUNE_ROW_SUM in prunes
-    W, guard, upper = lags.width, lags.guard, lags.upper
-    target = lags.balanced + upper
-    # the three per-position tables that the back half reads, as one tuple
-    # per position; ceil is offset like the state m (see _PackedLags)
-    rows = tuple(zip(lags.back, [c + upper for c in lags.ceil], lags.both))
+    use_paf, paired, ends = lags.use_paf, lags.paired, lags.ends
+    W, guard, rows, target = lags.width, lags.guard, lags.rows, lags.target
     terms: tuple[int, ...] = ()
     # counts of the nodes alive in both trees (every node of a walk without
     # row-sum), then per tree, 0 for the row's and 1 for its alternate's, of
@@ -386,35 +397,35 @@ def _run_shard(
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
 
-    def front(p: int, rev: int, fwd: int, neg: int, minus: int, malt: int) -> None:
+    def front(p: int, rev: int, fwd: int, m: int, minus: int, malt: int) -> None:
         # positions below L/2 take no cut test: no lag has more than L/2
         # products settled there (see _PackedLags), and every '-' count
-        # still reaches a row-sum target.  At L/2 fwd is final, and the
-        # subtree's wrap terms are taken from it once.  minus and malt count
-        # the '-' entries of the row and of its alternate
+        # still reaches a row-sum target of the order.  At L/2 fwd is final,
+        # and the subtree's wrap terms are taken from it once.  minus and
+        # malt count the '-' entries of the row and of its alternate
         nonlocal terms, poll
         if p < half:
             if not (poll := poll - 1):
                 refill()
             for bit in (0, 1):
-                front(p + 1, *lags.settle(p, bit, rev, fwd, neg), minus + bit, malt + (bit ^ p & 1))
+                front(p + 1, *lags.settle(p, bit, rev, fwd, m), minus + bit, malt + (bit ^ p & 1))
             return
         terms = tuple(lags.wrap_term(q, fwd) for q in range(L))
         if p < L and not paired:
-            dfs(p, rev, neg + upper)
+            dfs(p, rev, m)
         elif p < L and len(sides) == 2:
-            pair(p, rev, neg + upper, minus, malt)
+            pair(p, rev, m, minus, malt)
         else:
             # a whole row, or a tree alive on one side: node p - 1, which
             # passed its tests in the prefix, is tested again and expanded
             for side in sides:
-                test(p - 1, rev, neg + upper, (minus, malt)[side], side)
+                test(p - 1, rev, m, (minus, malt)[side], side)
 
-    # settle and .cut of _PackedLags inlined, with the state m = neg +
-    # upper: this is the hot loop of a walk without row-sum.  A child at the
-    # last position is a leaf, counted and tested here without a call;
-    # leaves do not count towards the deadline poll.  The row itself is not
-    # carried: the rare leaf that reaches found reads it back from rev.
+    # settle and .cut of _PackedLags inlined: this is the hot loop of a walk
+    # without row-sum.  A child at the last position is a leaf, counted and
+    # tested here without a call; leaves do not count towards the deadline
+    # poll.  The row itself is not carried: the rare leaf that reaches found
+    # reads it back from rev.
     def dfs(p: int, rev: int, m: int) -> None:
         nonlocal examined, paf_cuts, poll
         if not (poll := poll - 1):
@@ -519,20 +530,21 @@ def _run_shard(
         # the prefix is settled one position at a time with the same checks,
         # in the same order, as a node of the tree; a cut ends the walk of
         # the tree it falls in
-        rev = fwd = neg = minus = malt = 0
+        rev = fwd = minus = malt = 0
+        m = lags.upper
         for p, ch in enumerate(prefix):
             bit = 1 if ch == "-" else 0
             minus, malt = minus + bit, malt + (bit ^ p & 1)
-            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+            rev, fwd, m = lags.settle(p, bit, rev, fwd, m)
             for side in [s for s in sides if p >= ends[(minus, malt)[s]]]:
                 rowsums[side] += 1
                 sides.remove(side)
-            if use_paf and lags.cut(p, neg):
+            if use_paf and lags.cut(p, m):
                 for side in sides:
                     pafs[side] += 1
                 sides.clear()
         if sides:
-            front(len(prefix), rev, fwd, neg, minus, malt)
+            front(len(prefix), rev, fwd, m, minus, malt)
         completed = True
     except _Stop:
         completed = False
@@ -541,12 +553,12 @@ def _run_shard(
 
     def record(side: int, key: str, texts: tuple[str, ...]) -> _ShardResult:
         counts = {PRUNE_ROW_SUM: rowsums[side], PRUNE_PREFIX_PAF: paf_cuts + pafs[side]}
-        cuts = {name: counts[name] for name in sorted(prunes)}
+        cuts = {name: counts[name] for name in lags.prunes}
         return _ShardResult(key, completed, examined + leaves[side], cuts, texts)
 
     first = record(0, prefix, tuple(hits[0]))
     if not paired:
-        return first, _alternate_result(first)
+        return (first,)
     return first, record(1, _alternate(prefix), _alternate_hits(hits[1]))
 
 
@@ -875,33 +887,28 @@ def search(cfg: SearchConfig) -> SearchReport:
     # records are written in prefix order: a result waits here until every
     # earlier prefix has one
     unrecorded = collections.deque(p for p in prefixes if p not in results)
+    deadline = None if cfg.budget_seconds is None else time.monotonic() + cfg.budget_seconds
+    # built once, before any child forks, so the children inherit it
+    lags = _PackedLags(cfg.order, cfg.prunes)
 
-    def settle(pair: tuple[_ShardResult, ...]) -> None:
-        # a member the ledger already holds keeps its record
-        for result in pair:
+    def settle(walked: tuple[_ShardResult, ...]) -> None:
+        # a member the ledger already holds keeps its record; without
+        # row-sum, each record supplies its partner's
+        for result in walked:
             results.setdefault(result.prefix, result)
+            if not lags.paired:
+                partner = _alternate_result(result)
+                results.setdefault(partner.prefix, partner)
         while unrecorded and unrecorded[0] in results:
             done = results[unrecorded.popleft()]
             if ledger is not None and done.completed:
                 ledger.record(done)
 
-    if PRUNE_ROW_SUM not in cfg.prunes:
-        # either member of a pair in the ledger supplies the other
-        for result in list(results.values()):
-            settle((_alternate_result(result),))
+    # the ledger's records supply their partners as a walk's do
+    settle(tuple(results.values()))
     # a pair is walked from its member with '+' at position 1
     walks = [p for p in prefixes if p[1] == "+" and {p, _alternate(p)} - results.keys()]
-    deadline = None if cfg.budget_seconds is None else time.monotonic() + cfg.budget_seconds
-
-    # built once, before any child forks, so the children inherit them
-    targets = _minus_targets(cfg.order) if PRUNE_ROW_SUM in cfg.prunes else None
-    lags = _PackedLags(cfg.order)
-    ends = _minus_ok_ends(cfg.order, targets)
-
-    def walk(prefix: str) -> tuple[_ShardResult, _ShardResult]:
-        return _run_shard(cfg.order, prefix, cfg.prunes, lags, ends, deadline)
-
-    _walk(walk, walks, cfg.workers, settle)
+    _walk(lambda prefix: _run_shard(lags, prefix, deadline), walks, cfg.workers, settle)
     missing = [p for p in prefixes if p not in results]
     if missing:
         raise RuntimeError(

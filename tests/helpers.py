@@ -261,7 +261,8 @@ def reference_packed_lag_tables(L: int) -> tuple[tuple[int, ...], ...]:
     from their direct definition with every W-bit field summed afresh:
     ``back`` and ``wrap`` hold
     a 1 in field u for each product h[p-u]h[p], resp. h[p]h[p+u-L], settled
-    by position p, and ``ceil`` holds 2^(W-1) - 1 - L/2 + settled(u, p)."""
+    by position p, and ``ceil`` holds 2^(W-1) - 1 - L/2 + settled(u, p), the
+    ceiling of _PackedLags less its offset ``upper``."""
     half = L // 2
     W = L.bit_length()
     top = 1 << (W - 1)

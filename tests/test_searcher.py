@@ -78,6 +78,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SearchConfig(**{"order": 4, field: flag})
 
+    @pytest.mark.parametrize("flag", [1, 0, "yes", None])
+    def test_non_bool_canonicalize_refused(self, flag):
+        # 1 would search the same rows but read "canonicalize":1 in the report
+        with pytest.raises(ValueError, match="canonicalize"):
+            SearchConfig(order=4, canonicalize=flag)
+
+    @pytest.mark.parametrize("budget", [True, False, "1", [1.0], 1j])
+    def test_bool_or_non_number_budget_refused(self, budget):
+        # True is not one second, and "1" is not compared with 0
+        with pytest.raises(ValueError, match="budget_seconds"):
+            SearchConfig(order=4, budget_seconds=budget)
+
+    def test_int_budget_accepted(self):
+        assert SearchConfig(order=4, budget_seconds=3).budget_seconds == 3
+
     def test_prune_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(order=4, prunes=frozenset({"magic"}))
@@ -162,9 +177,9 @@ class TestSearchResults:
         built = []
 
         class Counted(_PackedLags):
-            def __init__(self, order):
+            def __init__(self, order, prunes):
                 built.append(order)
-                super().__init__(order)
+                super().__init__(order, prunes)
 
         monkeypatch.setattr(searcher, "_PackedLags", Counted)
         # one build before any child forks; a build per shard would show
@@ -476,19 +491,25 @@ class TestWhatIsCut:
     def test_golden_shard_counts(self, selection, examined, cuts):
         # one order-24 shard walked directly; row-sum targets apply though
         # 24 is not a square, so every selection walks it
-        result, _ = TestAlternation.walk(24, "++-+--", PRUNE_SELECTIONS[selection])
+        result = TestAlternation.walk(24, "++-+--", PRUNE_SELECTIONS[selection])[0]
         assert result == _ShardResult("++-+--", True, examined, cuts, ())
 
 
 class TestAlternation:
     @staticmethod
-    def walk(order, prefix, prunes, deadline=None, targets=None):
-        """The records of the shards under prefix and under its alternate,
-        from one walk; row-sum targets default to the order's own."""
-        if "row-sum" in prunes and targets is None:
-            targets = _minus_targets(order)
-        tables = _PackedLags(order), _minus_ok_ends(order, targets)
-        return _run_shard(order, prefix, prunes, *tables, deadline)
+    def walk(order, prefix, prunes, deadline=None):
+        """The records of one walk from prefix: that of its shard, and with
+        row-sum also that of its alternate's."""
+        return _run_shard(_PackedLags(order, prunes), prefix, deadline)
+
+    @pytest.mark.parametrize("selection", sorted(PRUNE_SELECTIONS))
+    def test_walk_returns_the_records_it_walked(self, selection):
+        # without row-sum the partner's record is derived in search(), not
+        # by the walk
+        prunes = PRUNE_SELECTIONS[selection]
+        walked = self.walk(16, "++-+-+", prunes)
+        keys = ("++-+-+", _alternate("++-+-+")) if "row-sum" in prunes else ("++-+-+",)
+        assert tuple(result.prefix for result in walked) == keys
 
     @given(st.data())
     @settings(deadline=None)
@@ -499,13 +520,13 @@ class TestAlternation:
         tail = data.draw(st.text("+-", min_size=length - 1, max_size=length - 1))
         prefix = "+" + tail
         for prunes in (PAF, frozenset()):
-            shard, derived = self.walk(order, prefix, prunes)
-            partner, _ = self.walk(order, _alternate(prefix), prunes)
+            (shard,) = self.walk(order, prefix, prunes)
+            (partner,) = self.walk(order, _alternate(prefix), prunes)
             assert partner.completed == shard.completed
             assert partner.examined == shard.examined
             assert partner.cuts == shard.cuts
             assert partner.hits == tuple(sorted(map(_alternate, shard.hits)))
-            assert derived == _alternate_result(shard) == partner
+            assert _alternate_result(shard) == partner
 
     @given(st.data())
     @settings(deadline=None, max_examples=40)
@@ -527,7 +548,11 @@ class TestAlternation:
             st.tuples(spread, spread).map(lambda ab: (order // 2 - ab[0], order // 2 + ab[1])),
         ), label="targets")
         for prunes in (ALL_PRUNES, ROWSUM):
-            pair = self.walk(order, prefix, prunes, targets=targets)
+            # the one place where targets other than the order's own enter a walk
+            lags = _PackedLags(order, prunes)
+            lags.ends = _minus_ok_ends(order, targets)
+            pair = _run_shard(lags, prefix, None)
+            assert len(pair) == 2
             for result, key in zip(pair, (prefix, _alternate(prefix))):
                 examined, cuts, hits = reference_shard(order, key, "prefix-paf" in prunes, targets)
                 expected = {name: cuts[name] for name in sorted(prunes)}
@@ -537,16 +562,16 @@ class TestAlternation:
     def test_order_four_partners_alternate_hits(self, prunes):
         derived = []
         for prefix in _shard_prefixes(4)[:4]:
-            shard, alternate = self.walk(4, prefix, prunes)
-            partner, _ = self.walk(4, _alternate(prefix), prunes)
-            assert alternate == _alternate_result(shard) == partner
+            (shard,) = self.walk(4, prefix, prunes)
+            (partner,) = self.walk(4, _alternate(prefix), prunes)
+            assert _alternate_result(shard) == partner
             derived += partner.hits
         assert derived == ["+-++", "+---"]
         # the one-entry prefix is its own partner; alt reverses the walk
         # order of its four hits, which must be sorted back
-        whole, alternate = self.walk(4, "+", prunes)
+        (whole,) = self.walk(4, "+", prunes)
         assert len(whole.hits) == 4
-        assert alternate == whole
+        assert _alternate_result(whole) == whole
 
     def test_row_sum_pair_differs(self):
         # alt changes the number of '-' entries, so the two records differ;
@@ -557,9 +582,9 @@ class TestAlternation:
         assert self.walk(16, "+-+-+-", ROWSUM) == (partner, shard)
 
     def test_aborted_shard_gives_unstarted_partner(self):
-        aborted, partner = self.walk(16, "++++++", PAF, deadline=0.0)
+        (aborted,) = self.walk(16, "++++++", PAF, deadline=0.0)
         assert not aborted.completed
-        assert partner == _alternate_result(aborted)
+        partner = _alternate_result(aborted)
         assert partner == _ShardResult("+-+-+-", False, 0, {"prefix-paf": 0}, ())
 
     def test_aborted_pair_walk_reports_both_members(self):
@@ -648,9 +673,10 @@ class TestStop:
                 stop_after_reads(patch, reads)
                 runs.append(TestAlternation.walk(order, prefix, prunes, deadline=0.5))
         assert runs[0] == runs[1]
-        shard, partner = runs[0]
+        shard, *walked = runs[0]
         assert shard == _ShardResult(prefix, completed, examined, cuts, ())
-        # a stopped walk stops both members of its pair
+        # a stopped walk stops both members of its pair, walked or derived
+        (partner,) = walked or [_alternate_result(shard)]
         assert partner.completed == completed
         assert sys.getrecursionlimit() == limit
 
@@ -685,31 +711,31 @@ def sign_rows(draw):
 
 def _check_packed_lags(row) -> bool:
     """Settle the row one position at a time, checking every lag counter
-    and the cut verdict against a direct count; return the leaf verdict.
-    From L/2 on, also check the back half of the walk: fwd no longer
-    changes, the wrap terms taken once at L/2 give each increment, and the
-    cut test on the offset state neg + upper agrees with cut."""
+    (a field of m - upper) and the cut verdict against a direct count;
+    return the leaf verdict.  From L/2 on, also check the back half of the
+    walk: fwd no longer changes, and the wrap terms taken once at L/2 give
+    each increment."""
     L = len(row)
-    lags = _PackedLags(L)
+    lags = _PackedLags(L, PAF)
     field = (1 << lags.width) - 1
-    rev = fwd = neg = 0
+    rev = fwd = 0
+    m = lags.upper
     for p, s in enumerate(row):
         bit = int(s < 0)
         if p == L // 2:
             terms = [lags.wrap_term(q, fwd) for q in range(L)]
         if p < L // 2:
             assert lags.wrap_term(p, fwd) == 0
-            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
-            assert not lags.cut(p, neg)
+            rev, fwd, m = lags.settle(p, bit, rev, fwd, m)
+            assert not lags.cut(p, m)
         else:
-            inc = (rev & lags.back[p]) + terms[p]
-            before, final = neg, fwd
-            rev, fwd, neg = lags.settle(p, bit, rev, fwd, neg)
+            back, _, both = lags.rows[p]
+            inc = (rev & back) + terms[p]
+            before, final = m, fwd
+            rev, fwd, m = lags.settle(p, bit, rev, fwd, m)
             assert fwd == final
-            assert neg - before == (lags.both[p] - inc if bit else inc)
-            m = neg + lags.upper
-            offset_cut = (m | (lags.ceil[p] + lags.upper - m)) & lags.guard
-            assert bool(offset_cut) == lags.cut(p, neg)
+            assert m - before == (both - inc if bit else inc)
+        neg = m - lags.upper
         direct = False
         for u in range(1, L // 2 + 1):
             settled = [
@@ -717,10 +743,10 @@ def _check_packed_lags(row) -> bool:
             ]
             assert neg >> lags.width * (u - 1) & field == settled.count(-1)
             direct = direct or abs(sum(settled)) > L - len(settled)
-        assert lags.cut(p, neg) == direct
+        assert lags.cut(p, m) == direct
     # the whole row reads back from rev alone
     assert lags.row_bits(rev) == SignSequence(row).bits
-    balanced = neg == lags.balanced
+    balanced = m == lags.target
     assert balanced == is_circulant_hadamard(SignSequence(row))
     return balanced
 
@@ -733,26 +759,38 @@ def test_packed_lag_verdict_matches_direct_check(row):
 def test_no_cut_falls_below_half_exhaustive():
     # below L/2 every lag has at most L/2 - 1 products settled, so neither
     # sign can outnumber L/2, and every '-' count still reaches a row-sum
-    # target: the walk sets these positions without a cut test
+    # target of the order: the walk sets these positions without a cut test
     for L in range(4, 17, 4):
-        lags = _PackedLags(L)
+        lags = _PackedLags(L, PAF)
         for text in all_sign_texts(L // 2):
-            rev = fwd = neg = 0
+            rev = fwd = 0
+            m = lags.upper
             for p, ch in enumerate(text):
-                rev, fwd, neg = lags.settle(p, int(ch == "-"), rev, fwd, neg)
-                assert not lags.cut(p, neg), (L, text, p)
-    for L in range(4, 101, 4):
+                rev, fwd, m = lags.settle(p, int(ch == "-"), rev, fwd, m)
+                assert not lags.cut(p, m), (L, text, p)
+    # the binding position is p = L/2 - 1, with the most counts and the
+    # fewest positions left: where every count reaches a target there, it
+    # does at every earlier position too
+    for L in range(4, searcher._MAX_ORDER + 1, 4):
         ends = _minus_ok_ends(L, _minus_targets(L))
-        for p in range(L // 2):
-            assert all(p < ends[m] for m in range(p + 2)), (L, p)
+        p = L // 2 - 1
+        assert all(p < ends[m] for m in range(p + 2)), L
+        if L in (4, 16, 36, 64, 100):
+            # the walk's table is this one, from the order's own targets
+            for selection, prunes in PRUNE_SELECTIONS.items():
+                expected = ends if "row-sum" in prunes else _minus_ok_ends(L, None)
+                assert _PackedLags(L, prunes).ends == expected, (L, selection)
 
 
 def test_packed_lag_tables_match_direct_definition():
     # the tables are built one position at a time; the oracle sums every
     # field of every position afresh
+    # the ceiling of _PackedLags is offset by upper, as the state is
     for L in range(4, 201):
-        lags = _PackedLags(L)
-        assert (lags.back, lags.wrap, lags.ceil) == reference_packed_lag_tables(L), L
+        lags = _PackedLags(L, PAF)
+        back, ceil, _ = zip(*lags.rows)
+        offset = tuple(c - lags.upper for c in ceil)
+        assert (back, lags.wrap, offset) == reference_packed_lag_tables(L), L
 
 
 def test_minus_ok_table_matches_direct_definition():
@@ -776,7 +814,7 @@ def test_packed_leaf_verdict_exhaustive_length_four():
 def test_walk_leaves_report_the_order_four_hits(selection):
     # with prefix "+" the last three positions are set inside the walk, so
     # each hit is read back from a leaf's rev, not from the prefix loop
-    result, _ = TestAlternation.walk(4, "+", PRUNE_SELECTIONS[selection])
+    result = TestAlternation.walk(4, "+", PRUNE_SELECTIONS[selection])[0]
     assert result.completed
     assert result.hits == ("+++-", "++-+", "+-++", "+---")
 
@@ -787,13 +825,14 @@ def test_walk_leaves_report_the_rows_of_the_balanced_state(monkeypatch, selectio
     # predicate accepts every leaf that reaches found, so the hits are the
     # rows that the walk reads back from rev at those leaves
     L, prunes = 12, PRUNE_SELECTIONS[selection]
-    lags = _PackedLags(L)
+    lags = _PackedLags(L, prunes)
 
     def state(text):
-        rev = fwd = neg = 0
+        rev = fwd = 0
+        m = lags.upper
         for p, ch in enumerate(text):
-            rev, fwd, neg = lags.settle(p, int(ch == "-"), rev, fwd, neg)
-        return neg
+            rev, fwd, m = lags.settle(p, int(ch == "-"), rev, fwd, m)
+        return m
 
     chosen = "++-+--+-++++"  # four '-' entries, a row-sum target at order 12
     targets = _minus_targets(L) if "row-sum" in prunes else None
@@ -805,9 +844,9 @@ def test_walk_leaves_report_the_rows_of_the_balanced_state(monkeypatch, selectio
         and (targets is None or text.count("-") in targets)
     )
     assert chosen in expected and len(expected) > 1
-    lags.balanced = state(chosen)
+    lags.target = state(chosen)
     monkeypatch.setattr(searcher, "is_circulant_hadamard", lambda seq: True)
-    result, _ = _run_shard(L, "+", prunes, lags, _minus_ok_ends(L, targets), None)
+    result = _run_shard(lags, "+", None)[0]
     assert result.completed
     assert result.hits == expected
 
