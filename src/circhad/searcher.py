@@ -36,13 +36,18 @@ walk at such an order could finish.
 Work is partitioned into shards by sequence prefix.  The shard set and each
 shard's traversal depend only on the order and the prune selection, never
 on the worker count, so reports are identical however the shards are
-scheduled.  The shard depth is fixed, not derived from the worker count:
-ledger records are keyed by shard prefix, and a cut made while settling a
-prefix is counted once per shard, so a different depth would change both
-the ledger and the cut counts.  An optional append-only ledger file records
-finished shards (and any sequences they found), in prefix order for any
-worker count, so an interrupted search can be resumed.  The ledger is
-opened and checked even where row-sum settles the order without a walk.
+scheduled.  A shard's prefix is settled without a test.  A prefix that
+reaches past L/2 (orders 4 and 8 only) has its last node tested, once per
+tree: a cut verdict is monotone along a path, so a cut at an earlier
+position shows there too, and is counted once.  Every shorter prefix lies
+where no cut can fall.  The shard depth is fixed, not derived from the
+worker count: ledger records are keyed by shard prefix, and a cut of a
+prefix's last node is counted once per shard, so a different depth would
+change both the ledger and the cut counts.  An optional append-only ledger
+file records finished shards (and any sequences they found), in prefix
+order for any worker count, so an interrupted search can be resumed.  The
+ledger is opened and checked even where row-sum settles the order without a
+walk.
 
 A budget stops a walk in one place.  The deadline is read when the walk
 starts and then every _DEADLINE_POLL tree nodes; a read past it raises
@@ -140,6 +145,9 @@ class SearchConfig(_Record):
         _check_order(order)
         if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
             raise ValueError("workers must be at least 1")
+        # a string would be read as its characters
+        if isinstance(prunes, str) or not hasattr(prunes, "__iter__"):
+            raise ValueError(f"prunes must be a collection of prune names, got {prunes!r}")
         unknown = set(prunes) - ALL_PRUNES
         if unknown:
             raise ValueError(f"unknown prunes: {sorted(unknown)}")
@@ -152,6 +160,8 @@ class SearchConfig(_Record):
             # NaN fails every comparison, so it is refused with inf
             if not 0 <= budget_seconds < inf:
                 raise ValueError("budget_seconds must be finite and nonnegative")
+        if ledger_path is not None and not isinstance(ledger_path, (str, os.PathLike)):
+            raise ValueError(f"ledger_path must be a path, got {ledger_path!r}")
         values = (order, frozenset(prunes), workers, canonicalize, budget_seconds, ledger_path)
         for name, value in zip(self.__slots__, values):
             _set_field(self, name, value)
@@ -352,10 +362,6 @@ class _PackedLags:
             inc = both - inc
         return (rev << self.width) | bit, fwd | self.spread[p] * bit, m + inc
 
-    def cut(self, p: int, m: int) -> bool:
-        """True when some lag can no longer reach zero once position p is set."""
-        return bool((m | (self.rows[p][1] - m)) & self.guard)
-
     def row_bits(self, rev: int) -> int:
         """The packed row (bit k set for h[k] = -1) of a whole row whose
         ``rev`` holds h[L-1-k] in field k."""
@@ -366,7 +372,8 @@ class _PackedLags:
 def _run_shard(lags: _PackedLags, prefix: str, deadline: float | None) -> tuple[_ShardResult, ...]:
     """The records of the shards that one walk from prefix covers: that of
     prefix alone without row-sum, and with it also that of alt(prefix) (see
-    Alternation in the module docstring)."""
+    Alternation in the module docstring).  The prefix is settled without a
+    test; past L/2 its last node alone is tested, once per tree."""
     L = lags.order
     half, last = L // 2, L - 1
     use_paf, paired, ends = lags.use_paf, lags.paired, lags.ends
@@ -378,7 +385,7 @@ def _run_shard(lags: _PackedLags, prefix: str, deadline: float | None) -> tuple[
     examined = paf_cuts = 0
     leaves, pafs, rowsums = [0, 0], [0, 0], [0, 0]
     hits: tuple[list[str], list[str]] = ([], [])
-    sides = [0, 1] if paired else [0]
+    sides = (0, 1) if paired else (0,)
     poll = _DEADLINE_POLL
 
     def found(rev: int, *of: int) -> None:
@@ -411,21 +418,21 @@ def _run_shard(lags: _PackedLags, prefix: str, deadline: float | None) -> tuple[
                 front(p + 1, *lags.settle(p, bit, rev, fwd, m), minus + bit, malt + (bit ^ p & 1))
             return
         terms = tuple(lags.wrap_term(q, fwd) for q in range(L))
-        if p < L and not paired:
-            dfs(p, rev, m)
-        elif p < L and len(sides) == 2:
-            pair(p, rev, m, minus, malt)
-        else:
-            # a whole row, or a tree alive on one side: node p - 1, which
-            # passed its tests in the prefix, is tested again and expanded
+        if p > half:
+            # a prefix past L/2: its last node is tested once per tree, and
+            # a cut verdict, monotone along the path, covers the nodes above
             for side in sides:
                 test(p - 1, rev, m, (minus, malt)[side], side)
+        elif not paired:
+            dfs(p, rev, m)
+        else:
+            pair(p, rev, m, minus, malt)
 
-    # settle and .cut of _PackedLags inlined: this is the hot loop of a walk
-    # without row-sum.  A child at the last position is a leaf, counted and
-    # tested here without a call; leaves do not count towards the deadline
-    # poll.  The row itself is not carried: the rare leaf that reaches found
-    # reads it back from rev.
+    # settle and the cut test (m | (ceil - m)) & guard of _PackedLags
+    # inlined: this is the hot loop of a walk without row-sum.  A child at
+    # the last position is a leaf, counted and tested here without a call;
+    # leaves do not count towards the deadline poll.  The row itself is not
+    # carried: the rare leaf that reaches found reads it back from rev.
     def dfs(p: int, rev: int, m: int) -> None:
         nonlocal examined, paf_cuts, poll
         if not (poll := poll - 1):
@@ -527,24 +534,14 @@ def _run_shard(lags: _PackedLags, prefix: str, deadline: float | None) -> tuple[
     sys.setrecursionlimit(limit + L)
     try:
         refill()
-        # the prefix is settled one position at a time with the same checks,
-        # in the same order, as a node of the tree; a cut ends the walk of
-        # the tree it falls in
+        # the prefix is settled without a test: front tests it, if at all
         rev = fwd = minus = malt = 0
         m = lags.upper
         for p, ch in enumerate(prefix):
             bit = 1 if ch == "-" else 0
             minus, malt = minus + bit, malt + (bit ^ p & 1)
             rev, fwd, m = lags.settle(p, bit, rev, fwd, m)
-            for side in [s for s in sides if p >= ends[(minus, malt)[s]]]:
-                rowsums[side] += 1
-                sides.remove(side)
-            if use_paf and lags.cut(p, m):
-                for side in sides:
-                    pafs[side] += 1
-                sides.clear()
-        if sides:
-            front(len(prefix), rev, fwd, m, minus, malt)
+        front(len(prefix), rev, fwd, m, minus, malt)
         completed = True
     except _Stop:
         completed = False
@@ -831,15 +828,14 @@ def _ledger_header(cfg: SearchConfig) -> str:
     return f"# circhad shard ledger order={cfg.order} prunes={prunes}"
 
 
-def _build_report(
-    cfg: SearchConfig,
-    examined: int,
-    hits: list[str],
-    cuts: dict[str, int],
-    incomplete: bool,
-    elapsed: float,
-) -> SearchReport:
-    found = [SignSequence.from_text(text) for text in hits]
+def _build_report(cfg: SearchConfig, records: list[_ShardResult], started: float) -> SearchReport:
+    """The report of a search from its shard records, summed in one place,
+    with the time elapsed since ``started`` (a perf_counter reading)."""
+    cuts = dict.fromkeys(sorted(cfg.prunes), 0)
+    for result in records:
+        for name, count in result.cuts.items():
+            cuts[name] += count
+    found = [SignSequence.from_text(text) for result in records for text in result.hits]
     solutions = sorted({g.text for h in found for g in (h, h.negate())})
     classes = None
     if cfg.canonicalize:
@@ -849,12 +845,12 @@ def _build_report(
         prunes=tuple(sorted(cfg.prunes)),
         canonicalize=cfg.canonicalize,
         workers=cfg.workers,
-        sequences_examined=examined,
+        sequences_examined=sum(result.examined for result in records),
         solutions=tuple(solutions),
         canonical_classes=classes,
         prune_cuts=cuts,
-        incomplete=incomplete,
-        elapsed_seconds=elapsed,
+        incomplete=not all(result.completed for result in records),
+        elapsed_seconds=time.perf_counter() - started,
     )
 
 
@@ -868,7 +864,6 @@ def search(cfg: SearchConfig) -> SearchReport:
     above _MAX_ORDER that row-sum does not settle raises ValueError.
     """
     started = time.perf_counter()
-    cuts_total = {name: 0 for name in sorted(cfg.prunes)}
     settled = PRUNE_ROW_SUM in cfg.prunes and rowsum_prune_applicable(cfg.order)
     if not settled and cfg.order > _MAX_ORDER:
         raise ValueError(f"order {cfg.order} is too large to search; the largest is {_MAX_ORDER}")
@@ -878,9 +873,8 @@ def search(cfg: SearchConfig) -> SearchReport:
     if cfg.ledger_path is not None:
         ledger = _ShardLedger(Path(cfg.ledger_path), cfg)
     if settled:
-        cuts_total[PRUNE_ROW_SUM] = 1
-        elapsed = time.perf_counter() - started
-        return _build_report(cfg, 0, [], cuts_total, False, elapsed)
+        # one record for the whole tree, cut by row-sum at its root
+        return _build_report(cfg, [_ShardResult("", True, 0, {PRUNE_ROW_SUM: 1}, ())], started)
 
     prefixes = _shard_prefixes(cfg.order)
     results: dict[str, _ShardResult] = dict(ledger.recorded) if ledger else {}
@@ -914,13 +908,4 @@ def search(cfg: SearchConfig) -> SearchReport:
         raise RuntimeError(
             f"no result for {len(missing)} shards, first {missing[0]}: a worker process ended early"
         )
-
-    done = [results[prefix] for prefix in prefixes]
-    for result in done:
-        for name, count in result.cuts.items():
-            cuts_total[name] += count
-    examined = sum(result.examined for result in done)
-    hits = [text for result in done for text in result.hits]
-    incomplete = not all(result.completed for result in done)
-    elapsed = time.perf_counter() - started
-    return _build_report(cfg, examined, hits, cuts_total, incomplete, elapsed)
+    return _build_report(cfg, [results[prefix] for prefix in prefixes], started)

@@ -154,7 +154,10 @@ REFERENCE_SHARD_DEPTH = 6
 def reference_shard(L: int, prefix: str, use_paf: bool, targets) -> tuple[int, dict, list]:
     """One shard walked the direct way: a signed partial sum and an
     undetermined-term count per lag, each updated and undone one lag at a
-    time, with the same checks in the same order as circhad.searcher."""
+    time, with the same checks in the same order as circhad.searcher.
+    The prefix is settled and only its last position is checked, as the
+    search does: for every prefix the search makes, the earlier positions
+    are alive."""
     half = L // 2
     cuts = {"row-sum": 0, "prefix-paf": 0}
     signs = [0] * L
@@ -225,10 +228,10 @@ def reference_shard(L: int, prefix: str, use_paf: bool, targets) -> tuple[int, d
 
     for p, ch in enumerate(prefix):
         apply(p, 1 if ch == "+" else -1)
-        verdict = violated(p)
-        if verdict is not None:
-            cuts[verdict] += 1
-            return 0, cuts, []
+    verdict = violated(len(prefix) - 1)
+    if verdict is not None:
+        cuts[verdict] += 1
+        return 0, cuts, []
     dfs(len(prefix))
     return examined, cuts, hits
 

@@ -96,6 +96,17 @@ class TestConfig:
     def test_prune_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(order=4, prunes=frozenset({"magic"}))
+        # a string is not read as its characters, and None is no collection
+        for bad in ("row-sum", None):
+            with pytest.raises(ValueError, match="prunes"):
+                SearchConfig(order=16, prunes=bad)
+        assert SearchConfig(order=16, prunes=["row-sum"]).prunes == ROWSUM
+
+    @pytest.mark.parametrize("path", [5, b"L", True])
+    def test_non_path_ledger_refused(self, path):
+        # refused at construction, not with a TypeError inside search()
+        with pytest.raises(ValueError, match="ledger_path"):
+            SearchConfig(order=4, ledger_path=path)
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -467,6 +478,14 @@ class TestWhatIsCut:
     @pytest.mark.parametrize(
         "order, selection, examined, cuts",
         [
+            # orders 4 and 8 are the only ones whose shard prefix reaches
+            # past L/2, where the walk tests only the prefix's last node
+            (4, "both", 4, {"prefix-paf": 0, "row-sum": 4}),
+            (4, "paf", 4, {"prefix-paf": 4}),
+            (4, "rowsum", 4, {"row-sum": 4}),
+            (4, "none", 8, {}),
+            (8, "paf", 0, {"prefix-paf": 86}),
+            (8, "none", 128, {}),
             (16, "both", 0, {"prefix-paf": 6185, "row-sum": 2672}),
             (16, "paf", 0, {"prefix-paf": 9270}),
             (16, "rowsum", 8008, {"row-sum": 14092}),
@@ -572,6 +591,16 @@ class TestAlternation:
         (whole,) = self.walk(4, "+", prunes)
         assert len(whole.hits) == 4
         assert _alternate_result(whole) == whole
+
+    def test_prefix_is_tested_at_its_last_node_only(self):
+        # each tree of the pair takes one cut, at the prefix's last node,
+        # credited to the first prune that fails there: the positions above
+        # it are settled without a test
+        records = _run_shard(_PackedLags(16, ALL_PRUNES), "+-----------", None)
+        assert records == (
+            _ShardResult("+-----------", True, 0, {"prefix-paf": 0, "row-sum": 1}, ()),
+            _ShardResult("++-+-+-+-+-+", True, 0, {"prefix-paf": 1, "row-sum": 0}, ()),
+        )
 
     def test_row_sum_pair_differs(self):
         # alt changes the number of '-' entries, so the two records differ;
@@ -727,7 +756,7 @@ def _check_packed_lags(row) -> bool:
         if p < L // 2:
             assert lags.wrap_term(p, fwd) == 0
             rev, fwd, m = lags.settle(p, bit, rev, fwd, m)
-            assert not lags.cut(p, m)
+            assert not (m | (lags.rows[p][1] - m)) & lags.guard
         else:
             back, _, both = lags.rows[p]
             inc = (rev & back) + terms[p]
@@ -743,7 +772,7 @@ def _check_packed_lags(row) -> bool:
             ]
             assert neg >> lags.width * (u - 1) & field == settled.count(-1)
             direct = direct or abs(sum(settled)) > L - len(settled)
-        assert lags.cut(p, m) == direct
+        assert bool((m | (lags.rows[p][1] - m)) & lags.guard) == direct
     # the whole row reads back from rev alone
     assert lags.row_bits(rev) == SignSequence(row).bits
     balanced = m == lags.target
@@ -767,7 +796,7 @@ def test_no_cut_falls_below_half_exhaustive():
             m = lags.upper
             for p, ch in enumerate(text):
                 rev, fwd, m = lags.settle(p, int(ch == "-"), rev, fwd, m)
-                assert not lags.cut(p, m), (L, text, p)
+                assert not (m | (lags.rows[p][1] - m)) & lags.guard, (L, text, p)
     # the binding position is p = L/2 - 1, with the most counts and the
     # fewest positions left: where every count reaches a target there, it
     # does at every earlier position too
