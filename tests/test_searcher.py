@@ -478,6 +478,11 @@ class TestWhatIsCut:
     @pytest.mark.parametrize(
         "order, selection, examined, cuts",
         [
+            (16, "both", 0, {"prefix-paf": 6185, "row-sum": 2672}),
+            (16, "paf", 0, {"prefix-paf": 9270}),
+            (16, "rowsum", 8008, {"row-sum": 14092}),
+            (16, "none", 32768, {}),
+            (20, "paf", 0, {"prefix-paf": 99484}),
             # orders 4 and 8 are the only ones whose shard prefix reaches
             # past L/2, where the walk tests only the prefix's last node
             (4, "both", 4, {"prefix-paf": 0, "row-sum": 4}),
@@ -486,11 +491,6 @@ class TestWhatIsCut:
             (4, "none", 8, {}),
             (8, "paf", 0, {"prefix-paf": 86}),
             (8, "none", 128, {}),
-            (16, "both", 0, {"prefix-paf": 6185, "row-sum": 2672}),
-            (16, "paf", 0, {"prefix-paf": 9270}),
-            (16, "rowsum", 8008, {"row-sum": 14092}),
-            (16, "none", 32768, {}),
-            (20, "paf", 0, {"prefix-paf": 99484}),
         ],
     )
     def test_golden_counts(self, order, selection, examined, cuts):
